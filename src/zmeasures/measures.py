@@ -1,19 +1,24 @@
-"""z-measures, mixed z-measures, and brute-force lattice correlations.
+"""z-measures, mixed z-measures, and lattice correlations.
 
 The z-measure on partitions of n is
 
     M(lam) = n! |(z)_{lam,theta}|^2 / ((z zbar/theta)_n H(lam) H'(lam)),
 
 evaluated in log-domain with exact-zero short-circuit.  Mixing over n
-with negative-binomial weights gives a probability measure on all of Y,
-whose lattice correlation functions are computed here by direct
-enumeration with a certified truncation bound (the z-measure at each
-size sums to exactly 1, so the discarded mass is exactly the
-negative-binomial tail).
+with negative-binomial weights gives a probability measure on all of Y.
+Its lattice correlation functions are sums, size by size, of the
+z-measures of the diagrams whose positive coordinates contain the
+requested points.  Those diagrams are generated column by column, and a
+prefix is pruned once its coordinates have passed a requested point or
+its cells cannot reach one, so diagrams that cannot contain the points
+are never built.  The truncation bound is certified: the z-measure at
+each size sums to exactly 1, so the discarded mass is exactly the
+negative-binomial tail.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import os
 from dataclasses import dataclass
@@ -25,7 +30,8 @@ from .partitions import (
     HALF,
     YoungDiagram,
     _as_fraction,
-    iter_partition_tuples,
+    conjugate_parts,
+    iter_partition_tuples,  # noqa: F401  (re-exported; callers look it up here)
 )
 
 LATTICE_NMAX_CAP = 200
@@ -40,10 +46,12 @@ class ZParams:
     xi: float = 0.0
 
     def __post_init__(self):
+        if not cmath.isfinite(self.z):
+            raise ParameterError(f"z must be finite, got {self.z}")
         if self.z == 0:
             raise ParameterError("z must be nonzero")
-        if not self.theta > 0:
-            raise ParameterError(f"theta must be positive, got {self.theta}")
+        if not (self.theta > 0 and math.isfinite(self.theta)):
+            raise ParameterError(f"theta must be positive and finite, got {self.theta}")
         if not (0 <= self.xi < 1):
             raise ParameterError(f"xi must lie in [0, 1), got {self.xi}")
 
@@ -111,34 +119,38 @@ class _MeasureEngine:
                 return j
         return None
 
-    def measure(self, parts: tuple[int, ...]) -> float:
-        """Probability mass of ``parts`` under the z-measure at its size."""
+    def measure(self, parts: tuple[int, ...], conj: Sequence[int] | None = None) -> float:
+        """Probability mass of ``parts`` under the z-measure at its size.
+
+        ``conj`` is the conjugate (column heights) when the caller already
+        has it; the result is the same float either way.
+        """
         n = sum(parts)
         if n == 0:
             raise DomainError("z-measure is defined on partitions of n >= 1")
+        logs = self._row_logs
         num = 0.0
-        for i, p in enumerate(parts, start=1):
-            self._ensure_row(i, p)
-            if p >= self._row_zero[i - 1]:
+        for i, p in enumerate(parts):
+            try:
+                log_row = logs[i][p]
+            except IndexError:  # the table does not reach (i, p) yet
+                self._ensure_row(i + 1, p)
+                log_row = logs[i][p]
+            if p >= self._row_zero[i]:
                 return 0.0
-            num += self._row_logs[i - 1][p]
-        # conjugate column counts
-        width = parts[0]
-        conj = [0] * width
-        for p in parts:
-            for j in range(p):
-                conj[j] += 1
-        # hook products as renormalized float products
+            num += log_row
+        if conj is None:
+            conj = conjugate_parts(parts)
+        # hook products as renormalized float products, row by row
         th = self.theta
         h = 1.0
         hp = 1.0
         hexp = 0.0
         for i, p in enumerate(parts, start=1):
-            for j in range(1, p + 1):
-                arm = p - j
-                leg = conj[j - 1] - i
-                h *= arm + leg * th + 1.0
-                hp *= arm + leg * th + th
+            for arm, c in zip(range(p - 1, -1, -1), conj):
+                x = arm + (c - i) * th
+                h *= x + 1.0
+                hp *= x + th
             if h > 1e250 or hp > 1e250 or hp < 1e-250:
                 hexp += math.log(h) + math.log(hp)
                 h = 1.0
@@ -224,11 +236,8 @@ def mixed_z_measure(lam: YoungDiagram, p: ZParams) -> float:
 def _positive_coordinate_shifts(theta: Fraction, width: int) -> list[int]:
     """shift[j-1] = ceil((j-1)/theta): rows excluded from column j of the
     negative part."""
-    shifts = []
-    for j in range(1, width + 1):
-        ratio = Fraction(j - 1, 1) / theta
-        shifts.append(int(math.ceil(ratio)))
-    return shifts
+    num, den = theta.numerator, theta.denominator
+    return [-(-(j * den) // num) for j in range(width)]
 
 
 def _validate_lattice_points(X: Iterable) -> list[int]:
@@ -250,6 +259,134 @@ def _validate_lattice_points(X: Iterable) -> list[int]:
     return bs
 
 
+def _walk_columns(
+    n: int,
+    shifts: Sequence[int],
+    target_bs: Sequence[int],
+    max_height: int,
+    max_width: int,
+    visit,
+) -> None:
+    """Call ``visit(cols)`` for each partition of n, given by its column
+    heights cols, whose positive coordinates contain every target.
+
+    Columns are built left to right, tallest first.  Column j (1-based)
+    of height c carries the positive coordinate v = c - shifts[j-1];
+    v never increases with j, so the targets are met largest first and
+    a prefix is cut as soon as its last v lies below the largest
+    unmet target (or at v <= 0, where no positive coordinate exists),
+    or the cells left cannot reach the unmet targets.  Heights are at
+    most ``max_height``, and there are at most ``max_width`` columns.
+    The list passed to ``visit`` is reused; copy it to keep it.
+    """
+    bs = sorted(target_bs, reverse=True)
+    # need[k][j]: fewest cells that columns j+1, j+2, ... (0-based) must
+    # hold to meet bs[k:], each unmet target taking a later column; more
+    # than n when there are too few columns left
+    need = [[0] * (n + 1) for _ in range(len(bs) + 1)]
+    for k in range(len(bs) - 1, -1, -1):
+        least = max(bs[k], 1)
+        row, later = need[k], need[k + 1]
+        row[n] = n + 1
+        for j in range(n):
+            row[j] = least + shifts[j] + later[j + 1]
+    if bs:
+        _walk_directed([], n, max_height, max_width, 0, bs, need, shifts, visit)
+    else:
+        _walk_free([], n, max_height, max_width, visit)
+
+
+def _walk_free(cols: list[int], remaining: int, largest: int, cols_left: int, visit) -> None:
+    """Visit each completion of ``cols`` by at most ``cols_left`` columns
+    of height at most ``largest`` holding ``remaining`` cells."""
+    if remaining == 0:
+        visit(cols)
+        return
+    if largest == 1:
+        # the only completion is a run of single cells
+        if remaining <= cols_left:
+            cols.extend([1] * remaining)
+            visit(cols)
+            del cols[-remaining:]
+        return
+    if cols_left == 0:
+        return
+    lo = -(-remaining // cols_left)
+    for c in range(min(largest, remaining), lo - 1, -1):
+        cols.append(c)
+        _walk_free(cols, remaining - c, c, cols_left - 1, visit)
+        cols.pop()
+
+
+def _walk_directed(
+    cols: list[int],
+    remaining: int,
+    largest: int,
+    cols_left: int,
+    k: int,
+    bs: list[int],
+    need: list[list[int]],
+    shifts: Sequence[int],
+    visit,
+) -> None:
+    """As ``_walk_free``, for completions that meet the targets bs[k:],
+    where ``cols`` already meets bs[:k]."""
+    j = len(cols)
+    if cols_left < len(bs) - k or remaining < need[k][j]:
+        return
+    s = shifts[j]
+    b = bs[k]
+    lo = max(-(-remaining // cols_left), max(b, 1) + s)
+    for c in range(min(largest, remaining), lo - 1, -1):
+        cols.append(c)
+        if c - s != b:
+            _walk_directed(cols, remaining - c, c, cols_left - 1, k, bs, need, shifts, visit)
+        elif k + 1 < len(bs):
+            _walk_directed(cols, remaining - c, c, cols_left - 1, k + 1, bs, need, shifts, visit)
+        else:
+            _walk_free(cols, remaining - c, c, cols_left - 1, visit)
+        cols.pop()
+
+
+def _stratum_terms(
+    n: int,
+    z: complex,
+    theta: float,
+    theta_frac: Fraction,
+    target_bs: tuple[int, ...],
+    max_rows: int | None,
+    max_cols: int | None,
+) -> list[tuple[tuple[int, ...], float]]:
+    """(parts, measure) for each partition of n with nonzero measure whose
+    positive coordinates contain all target points, at most ``max_rows``
+    rows and at most ``max_cols`` columns, in reverse lexicographic order
+    of parts."""
+    if n > LATTICE_NMAX_CAP:
+        raise ResourceCapError(
+            f"partition enumeration capped at n <= {LATTICE_NMAX_CAP}, got {n}"
+        )
+    eng = _engine(z, theta)
+    terms = []
+
+    def visit(cols):
+        parts = tuple(conjugate_parts(cols))
+        m = eng.measure(parts, cols)
+        if m != 0.0:
+            terms.append((parts, m))
+
+    _walk_columns(
+        n,
+        _positive_coordinate_shifts(theta_frac, n),
+        target_bs,
+        n if max_rows is None else min(n, max_rows),
+        n if max_cols is None else min(n, max_cols),
+        visit,
+    )
+    # the order iter_partition_tuples yields, so that sums are bit-stable
+    terms.sort(reverse=True)
+    return terms
+
+
 def _stratum_sum(
     n: int,
     z: complex,
@@ -261,37 +398,11 @@ def _stratum_sum(
 ) -> tuple[float, int]:
     """Sum of z-measures over partitions of n whose positive coordinates
     contain all target points.  Returns (sum, matching diagram count)."""
-    eng = _engine(z, theta)
-    shifts = _positive_coordinate_shifts(theta_frac, n)
+    terms = _stratum_terms(n, z, theta, theta_frac, target_bs, max_rows, max_cols)
     total = 0.0
-    count = 0
-    bs = sorted(target_bs, reverse=True)
-    for parts in iter_partition_tuples(n, cap=LATTICE_NMAX_CAP, max_rows=max_rows, max_cols=max_cols):
-        width = parts[0]
-        conj = [0] * width
-        for q in parts:
-            for j in range(q):
-                conj[j] += 1
-        ok = True
-        for b in bs:
-            found = False
-            for j in range(width):
-                v = conj[j] - shifts[j]
-                if v <= 0:
-                    break
-                if v == b:
-                    found = True
-                    break
-            if not found:
-                ok = False
-                break
-        if not ok:
-            continue
-        m = eng.measure(parts)
-        if m != 0.0:
-            total += m
-            count += 1
-    return total, count
+    for _, m in terms:
+        total += m
+    return total, len(terms)
 
 
 def lattice_correlation(
@@ -304,14 +415,23 @@ def lattice_correlation(
     z-measure truncated at |lam| <= n_max.
 
     The truncation bound is the negative-binomial tail mass beyond
-    n_max; diagrams whose measure vanishes identically because of a
-    first-row or first-column Pochhammer zero are skipped exactly.
+    n_max.  Each size n is summed over the partitions of n whose
+    positive coordinates contain X, found by a column-by-column walk that
+    cuts every prefix no completion of which can contain X; diagrams
+    whose measure vanishes identically because of a first-row or
+    first-column Pochhammer zero are never generated.  ``terms_summed``
+    counts the diagrams with nonzero measure that contain X.  The point
+    1/2 is no positive coordinate of any diagram, so an X holding it
+    returns 0 without a walk.
     """
     if n_max < 0 or n_max > LATTICE_NMAX_CAP:
         raise ResourceCapError(
             f"n_max must lie in [0, {LATTICE_NMAX_CAP}], got {n_max}"
         )
     target_bs = tuple(_validate_lattice_points(X))
+    bound = negative_binomial_tail(n_max, p)
+    if 0 in target_bs:
+        return CorrelationReport(value=0.0, truncation_bound=bound, n_max_used=n_max, terms_summed=0)
     theta_frac = _as_fraction(p.theta)
     eng = _engine(p.z, float(p.theta))
     zero_row = eng.first_column_zero_row(n_max + 1)
@@ -340,7 +460,6 @@ def lattice_correlation(
         if s:
             value += negative_binomial_weight(n, p) * s
         terms += c
-    bound = negative_binomial_tail(n_max, p)
     return CorrelationReport(value=value, truncation_bound=bound, n_max_used=n_max, terms_summed=terms)
 
 

@@ -33,6 +33,18 @@ def _as_fraction(theta) -> Fraction:
     return f
 
 
+def conjugate_parts(parts) -> list[int]:
+    """Conjugate of a weakly decreasing sequence of positive integers:
+    entry i-1 counts the parts >= i."""
+    out = []
+    k = len(parts)
+    for i in range(1, (parts[0] if parts else 0) + 1):
+        while parts[k - 1] < i:
+            k -= 1
+        out.append(k)
+    return out
+
+
 @dataclass(frozen=True, order=True)
 class YoungDiagram:
     """An integer partition, stored as a weakly decreasing tuple."""
@@ -65,13 +77,7 @@ class YoungDiagram:
         return 1 <= i <= len(self.parts) and 1 <= j <= self.parts[i - 1]
 
     def transpose(self) -> "YoungDiagram":
-        if not self.parts:
-            return YoungDiagram()
-        cols = [0] * self.parts[0]
-        for p in self.parts:
-            for j in range(p):
-                cols[j] += 1
-        return YoungDiagram(tuple(cols))
+        return YoungDiagram(tuple(conjugate_parts(self.parts)))
 
     def __repr__(self):
         return f"YoungDiagram{self.parts}"

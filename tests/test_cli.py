@@ -90,9 +90,50 @@ def test_lattice_corr(capsys):
     assert float(vals["truncation_bound"]) >= 0
 
 
+def test_lattice_corr_readme_line_golden(capsys):
+    code, out = capture(
+        capsys, ["lattice-corr", "--z", "0.5,0", "--xi", "0.5", "--x", "3/2", "--nmax", "30"]
+    )
+    assert code == 0
+    assert out == (
+        "points,value,truncation_bound,n_max_used,terms_summed\n"
+        "3/2,0.29289321874798424,6.546830108159877e-11,30,30\n"
+    )
+
+
+def test_verify_limit_readme_line_golden(capsys):
+    code, out = capture(
+        capsys,
+        ["verify-limit", "--z", "0.5,0", "--u", "1.0", "--xi", "0.8,0.85,0.9", "--nmax", "80"],
+    )
+    assert code == 0
+    assert out == (
+        "xi,lattice_points,rescaled_lattice,truncation_bound,continuum,"
+        "deviation,relative_deviation,inconclusive\n"
+        "0.8,9/2,0.0,9.66576211451636e-09,0.0,0.0,0.0,True\n"
+        "0.85,13/2,0.0,2.0017365442110665e-06,0.0,0.0,0.0,True\n"
+        "0.9,19/2,0.0,0.00037060937097164136,0.0,0.0,0.0,True\n"
+    )
+
+
 def test_parameter_error_exit_code(capsys):
     assert run(["zmeasure", "--z", "0,0", "--n", "2"]) == 2
     assert run(["bogus-subcommand"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zmeasure", "--z", "nan,0", "--n", "3"],
+        ["zmeasure", "--z", "1,0", "--theta", "inf", "--n", "3"],
+        ["lattice-corr", "--z", "nan,0", "--xi", "0.5", "--x", "3/2", "--nmax", "10"],
+    ],
+)
+def test_non_finite_parameters_exit_2(capsys, argv):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
 
 
 def test_determinism_across_workers(capsys, monkeypatch):

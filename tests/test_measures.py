@@ -2,11 +2,14 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from zmeasures import measures
 from zmeasures.errors import DomainError, ParameterError, ResourceCapError
 from zmeasures.measures import (
     CorrelationReport,
     ZParams,
+    _stratum_terms,
     lattice_correlation,
     mixed_z_measure,
     negative_binomial_tail,
@@ -14,7 +17,7 @@ from zmeasures.measures import (
     z_measure,
     z_measure_symmetry_check,
 )
-from zmeasures.partitions import YoungDiagram, iter_partition_tuples
+from zmeasures.partitions import YoungDiagram, frobenius_coordinates, iter_partition_tuples
 
 Z_GRID = (0.5, 1.0, 1 + 1j, 0.3 + 0.7j)
 
@@ -29,6 +32,21 @@ def test_zparams_validation():
     p = ZParams(1 + 1j, 0.5, 0.9)
     assert p.t == pytest.approx(2.0)
     assert p.a == pytest.approx(4.0)
+
+
+@pytest.mark.parametrize(
+    "z, theta",
+    [
+        (complex(math.nan, 0), 0.5),
+        (complex(0, math.nan), 0.5),
+        (complex(math.inf, 0), 0.5),
+        (1, math.inf),
+        (1, math.nan),
+    ],
+)
+def test_zparams_rejects_non_finite(z, theta):
+    with pytest.raises(ParameterError):
+        ZParams(z, theta, 0.5)
 
 
 def test_single_box_is_certain():
@@ -126,6 +144,17 @@ def test_lattice_correlation_half_point_zero():
     assert rep.truncation_bound > 0
 
 
+def test_lattice_correlation_unreachable_point_walks_nothing(monkeypatch):
+    # b + 1/2 with b >= 1: no diagram has the positive coordinate 1/2
+    def no_walk(*args):
+        raise AssertionError("stratum walked for an unreachable point")
+
+    monkeypatch.setattr(measures, "_stratum_sum", no_walk)
+    p = ZParams(0.3 + 0.7j, 0.5, 0.6)
+    rep = lattice_correlation([Fraction(3, 2), Fraction(1, 2)], p, 40)
+    assert rep == CorrelationReport(0.0, negative_binomial_tail(40, p), 40, 0)
+
+
 def test_lattice_correlation_truncation_consistency():
     p = ZParams(0.5, 0.5, 0.5)
     r40 = lattice_correlation([Fraction(3, 2)], p, 40)
@@ -179,3 +208,103 @@ def test_lattice_correlation_against_direct_enumeration():
                 direct += mixed_z_measure(lam, p)
     rep = lattice_correlation(sorted(X), p, n_max)
     assert rep.value == pytest.approx(direct, rel=1e-12)
+
+
+def _reference_measure(parts, z, theta):
+    """The z-measure as a plain row-by-row loop: the float operations, in
+    their order, that every evaluation of the measure must reproduce."""
+    n = sum(parts)
+    num = 0.0
+    for i, p in enumerate(parts, start=1):
+        base = z - (i - 1) * theta
+        acc = 0.0
+        for j in range(p):
+            af = abs(base + j)
+            if af < 1e-300:
+                return 0.0
+            acc += 2.0 * math.log(af)
+        num += acc
+    conj = YoungDiagram(parts).transpose().parts
+    h = 1.0
+    hp = 1.0
+    hexp = 0.0
+    for i, p in enumerate(parts, start=1):
+        for j in range(1, p + 1):
+            arm = p - j
+            leg = conj[j - 1] - i
+            h *= arm + leg * theta + 1.0
+            hp *= arm + leg * theta + theta
+        if h > 1e250 or hp > 1e250 or hp < 1e-250:
+            hexp += math.log(h) + math.log(hp)
+            h = 1.0
+            hp = 1.0
+    a = abs(z) ** 2 / theta
+    logden = hexp + math.log(h) + math.log(hp)
+    logden += math.lgamma(a + n) - math.lgamma(a)
+    return math.exp(math.lgamma(n + 1) + num - logden)
+
+
+@pytest.mark.parametrize(
+    "z, theta",
+    [(0.3 + 0.7j, 0.5), (1 + 1j, 1.0), (-2.0, 2.0), (1.5, 0.5), (0.7 - 0.2j, 2.0)],
+)
+def test_enumerator_measures_bit_identical(z, theta):
+    p = ZParams(z, theta)
+    for n in range(1, 13):
+        terms = _stratum_terms(n, p.z, theta, Fraction(theta), (), None, None)
+        # every diagram of nonzero measure, in the order iter_partition_tuples
+        # yields, each with the measure z_measure and the reference loop give
+        expected = [
+            parts
+            for parts in iter_partition_tuples(n)
+            if z_measure(YoungDiagram(parts), p) != 0.0
+        ]
+        assert [parts for parts, _ in terms] == expected
+        for parts, m in terms:
+            assert m == z_measure(YoungDiagram(parts), p)
+            assert m == _reference_measure(parts, complex(z), theta)
+
+
+THETAS = (Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(2))
+
+
+@st.composite
+def _lattice_cases(draw):
+    kind = draw(st.sampled_from(("generic", "row cut", "column cut")))
+    if kind == "generic":
+        theta = draw(st.sampled_from(THETAS))
+        im = draw(st.floats(0.05, 1.5)) * draw(st.sampled_from((1, -1)))
+        z = complex(draw(st.floats(-1.5, 1.5)), im)
+    elif kind == "row cut":
+        # z - (i-1) theta = 0 at i = 4 or 6: at most 3 or 5 rows
+        theta = Fraction(1, 2)
+        z = complex(draw(st.sampled_from((1.5, 2.5))))
+    else:
+        # z + (j-1) = 0 at j = 3: at most 2 columns
+        theta = draw(st.sampled_from(THETAS))
+        z = complex(-2.0)
+    xi = draw(st.floats(0.1, 0.9))
+    bs = draw(st.lists(st.integers(0, 6), min_size=1, max_size=3, unique=True))
+    n_max = draw(st.integers(1, 12))
+    return ZParams(z, theta, xi), [Fraction(2 * b + 1, 2) for b in bs], n_max
+
+
+@settings(max_examples=60, deadline=None)
+@given(_lattice_cases())
+def test_lattice_correlation_matches_brute_force(case):
+    p, X, n_max = case
+    value = 0.0
+    terms = 0
+    for n in range(1, n_max + 1):
+        s = 0.0
+        for parts in iter_partition_tuples(n):
+            lam = YoungDiagram(parts)
+            if set(X) <= set(frobenius_coordinates(lam, p.theta).positives):
+                m = z_measure(lam, p)
+                if m != 0.0:
+                    s += m
+                    terms += 1
+        value += negative_binomial_weight(n, p) * s
+    rep = lattice_correlation(X, p, n_max)
+    assert rep.terms_summed == terms
+    assert math.isclose(rep.value, value, rel_tol=1e-12, abs_tol=0.0)
