@@ -19,7 +19,7 @@ from .correlations import (
     lattice_point_for,
     verify_limit,
 )
-from .errors import NumericalError, ZMeasuresError
+from .errors import DomainError, NumericalError, ParameterError, ZMeasuresError
 from .gelfand import (
     coset_type,
     from_cycles,
@@ -89,10 +89,14 @@ def _add_common(sp: argparse.ArgumentParser):
 
 
 def _cmd_partitions(args) -> list[dict]:
+    try:
+        theta = Fraction(str(args.theta))
+    except ValueError:
+        raise ParameterError(f"theta must be finite, got {args.theta}") from None
     rows = []
     for parts in iter_partition_tuples(args.n, max_rows=args.max_rows):
         lam = YoungDiagram(parts)
-        cfg = frobenius_coordinates(lam, Fraction(str(args.theta)))
+        cfg = frobenius_coordinates(lam, theta)
         rows.append(
             {
                 "partition": " ".join(map(str, parts)),
@@ -157,12 +161,19 @@ def _cmd_pairings(args) -> list[dict]:
     return rows
 
 
+def _parse_int_tuple(s: str, what: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(v) for v in s.split(","))
+    except ValueError:
+        raise DomainError(f"{what} must be comma-separated integers, got {s!r}") from None
+
+
 def _cmd_gelfand(args) -> list[dict]:
     cycles = []
     for c in args.g.split(";"):
         c = c.strip()
         if c:
-            cycles.append(tuple(int(v) for v in c.split(",")))
+            cycles.append(_parse_int_tuple(c, "--g cycle"))
     g = from_cycles(2 * args.n, cycles)
     ct = coset_type(g)
     rows = [{"quantity": "coset_type", "value": " ".join(map(str, ct.parts)), "error_bound": ""}]
@@ -170,7 +181,7 @@ def _cmd_gelfand(args) -> list[dict]:
         val = spherical_restriction(ZParams(args.z, 0.5), args.n, g)
         rows.append({"quantity": "spherical_restriction", "value": repr(val), "error_bound": ""})
     if args.lam:
-        lam = tuple(int(v) for v in args.lam.split(","))
+        lam = _parse_int_tuple(args.lam, "--lam")
         w = zonal_spherical(lam, g)
         rows.append({"quantity": f"zonal[{args.lam}]", "value": str(w), "error_bound": "exact"})
     return rows

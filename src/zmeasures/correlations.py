@@ -75,7 +75,6 @@ def verify_limit(
     z: complex,
     xi_ladder: Sequence,
     n_max: int = DEFAULT_NMAX,
-    workers: int | None = None,
 ) -> LimitReport:
     """Compare (1-xi)^{-n} * lattice correlation at the nearest lattice
     points against the continuum Pfaffian value, for each xi.
@@ -106,7 +105,7 @@ def verify_limit(
                 f"u-points collapse to coincident lattice points {pts} at xi={xi}"
             )
         zp = ZParams(complex(z), 0.5, float(xif))
-        rep: CorrelationReport = lattice_correlation(pts, zp, n_max, workers=workers)
+        rep: CorrelationReport = lattice_correlation(pts, zp, n_max)
         scale = float((1 - xif)) ** (-n)
         val = rep.value * scale
         bound = rep.truncation_bound * scale

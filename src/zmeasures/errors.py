@@ -4,6 +4,8 @@ Parameter/domain/resource problems map to CLI exit code 2, numerical
 failures and inconclusive results to exit code 3.
 """
 
+import cmath
+
 
 class ZMeasuresError(Exception):
     """Base class for all library errors."""
@@ -32,3 +34,13 @@ class UnvalidatedDomainError(ParameterError):
 
 class NumericalError(ZMeasuresError):
     """Quadrature non-convergence or an internal accuracy check failed."""
+
+
+def validate_z(z) -> complex:
+    """The parameter z as a complex number, refused unless finite and nonzero."""
+    zc = complex(z)
+    if not cmath.isfinite(zc):
+        raise ParameterError(f"z must be finite, got {z}")
+    if zc == 0:
+        raise ParameterError("z must be nonzero")
+    return zc

@@ -46,7 +46,14 @@ def inverse(a: Perm) -> Perm:
 def from_cycles(size: int, cycles: Iterable[tuple[int, ...]]) -> Perm:
     """Permutation from 1-based disjoint cycles."""
     img = list(range(size))
+    seen = set()
     for cyc in cycles:
+        for v in cyc:
+            if not 1 <= v <= size:
+                raise DomainError(f"cycle label {v} outside 1..{size}")
+            if v in seen:
+                raise DomainError(f"cycle label {v} repeats; cycles must be disjoint")
+            seen.add(v)
         for i, v in enumerate(cyc):
             img[v - 1] = cyc[(i + 1) % len(cyc)] - 1
     return tuple(img)

@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special as sp
 
-from .errors import DomainError, ParameterError, UnvalidatedDomainError
+from .errors import DomainError, ParameterError, UnvalidatedDomainError, validate_z
 from .quadrature import adaptive_gauss_legendre
 from .specfun import (
     ASYMPTOTIC_X,
@@ -61,9 +61,7 @@ class KernelParams:
     tol: float = 1e-10
 
     def __post_init__(self):
-        z = complex(self.z)
-        if z == 0:
-            raise ParameterError("z must be nonzero")
+        z = validate_z(self.z)
         if z.real < 0:
             raise UnvalidatedDomainError(
                 f"validated kernel domain requires Re z >= 0, got z = {z}"

@@ -18,14 +18,13 @@ negative-binomial tail.
 
 from __future__ import annotations
 
-import cmath
+import functools
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DomainError, ParameterError, ResourceCapError
+from .errors import DomainError, ParameterError, ResourceCapError, validate_z
 from .partitions import (
     HALF,
     YoungDiagram,
@@ -46,10 +45,7 @@ class ZParams:
     xi: float = 0.0
 
     def __post_init__(self):
-        if not cmath.isfinite(self.z):
-            raise ParameterError(f"z must be finite, got {self.z}")
-        if self.z == 0:
-            raise ParameterError("z must be nonzero")
+        validate_z(self.z)
         if not (self.theta > 0 and math.isfinite(self.theta)):
             raise ParameterError(f"theta must be positive and finite, got {self.theta}")
         if not (0 <= self.xi < 1):
@@ -160,16 +156,9 @@ class _MeasureEngine:
         return math.exp(math.lgamma(n + 1) + num - logden)
 
 
-_ENGINES: dict[tuple[complex, float], _MeasureEngine] = {}
-
-
-def _engine(z: complex, theta: float) -> _MeasureEngine:
-    key = (complex(z), float(theta))
-    eng = _ENGINES.get(key)
-    if eng is None:
-        eng = _MeasureEngine(*key)
-        _ENGINES[key] = eng
-    return eng
+# two entries: callers loop over diagrams at one (z, theta), or at one and
+# its dual (-z/theta, 1/theta) in z_measure_symmetry_check
+_engine = functools.lru_cache(maxsize=2)(_MeasureEngine)
 
 
 def z_measure(lam: YoungDiagram, p: ZParams) -> float:
@@ -350,22 +339,21 @@ def _walk_directed(
 
 def _stratum_terms(
     n: int,
-    z: complex,
-    theta: float,
-    theta_frac: Fraction,
+    eng: _MeasureEngine,
+    shifts: Sequence[int],
     target_bs: tuple[int, ...],
     max_rows: int | None,
     max_cols: int | None,
 ) -> list[tuple[tuple[int, ...], float]]:
-    """(parts, measure) for each partition of n with nonzero measure whose
-    positive coordinates contain all target points, at most ``max_rows``
-    rows and at most ``max_cols`` columns, in reverse lexicographic order
-    of parts."""
+    """(parts, measure) for each partition of n with nonzero measure under
+    ``eng`` whose positive coordinates contain all target points, at most
+    ``max_rows`` rows and at most ``max_cols`` columns, in reverse
+    lexicographic order of parts.  ``shifts`` is
+    ``_positive_coordinate_shifts`` of theta, at least n long."""
     if n > LATTICE_NMAX_CAP:
         raise ResourceCapError(
             f"partition enumeration capped at n <= {LATTICE_NMAX_CAP}, got {n}"
         )
-    eng = _engine(z, theta)
     terms = []
 
     def visit(cols):
@@ -376,7 +364,7 @@ def _stratum_terms(
 
     _walk_columns(
         n,
-        _positive_coordinate_shifts(theta_frac, n),
+        shifts,
         target_bs,
         n if max_rows is None else min(n, max_rows),
         n if max_cols is None else min(n, max_cols),
@@ -389,16 +377,15 @@ def _stratum_terms(
 
 def _stratum_sum(
     n: int,
-    z: complex,
-    theta: float,
-    theta_frac: Fraction,
+    eng: _MeasureEngine,
+    shifts: Sequence[int],
     target_bs: tuple[int, ...],
     max_rows: int | None,
     max_cols: int | None,
 ) -> tuple[float, int]:
     """Sum of z-measures over partitions of n whose positive coordinates
     contain all target points.  Returns (sum, matching diagram count)."""
-    terms = _stratum_terms(n, z, theta, theta_frac, target_bs, max_rows, max_cols)
+    terms = _stratum_terms(n, eng, shifts, target_bs, max_rows, max_cols)
     total = 0.0
     for _, m in terms:
         total += m
@@ -409,7 +396,6 @@ def lattice_correlation(
     X: Sequence,
     p: ZParams,
     n_max: int,
-    workers: int | None = None,
 ) -> CorrelationReport:
     """Probability that (A|B)_theta(lam) contains X, under the mixed
     z-measure truncated at |lam| <= n_max.
@@ -432,36 +418,18 @@ def lattice_correlation(
     bound = negative_binomial_tail(n_max, p)
     if 0 in target_bs:
         return CorrelationReport(value=0.0, truncation_bound=bound, n_max_used=n_max, terms_summed=0)
-    theta_frac = _as_fraction(p.theta)
     eng = _engine(p.z, float(p.theta))
+    shifts = _positive_coordinate_shifts(_as_fraction(p.theta), n_max)
     zero_row = eng.first_column_zero_row(n_max + 1)
     zero_col = eng.first_row_zero_col(n_max + 1)
     max_rows = None if zero_row is None else zero_row - 1
     max_cols = None if zero_col is None else zero_col - 1
 
-    if workers is None:
-        workers = int(os.environ.get("ZMEASURES_WORKERS", "1"))
-    ns = list(range(1, n_max + 1))
-    args = [
-        (n, p.z, float(p.theta), theta_frac, target_bs, max_rows, max_cols)
-        for n in ns
-    ]
-    if workers > 1 and len(ns) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            strata = list(ex.map(_stratum_sum_star, args))
-    else:
-        strata = [_stratum_sum(*a) for a in args]
-
     value = 0.0
     terms = 0
-    for n, (s, c) in zip(ns, strata):
+    for n in range(1, n_max + 1):
+        s, c = _stratum_sum(n, eng, shifts, target_bs, max_rows, max_cols)
         if s:
             value += negative_binomial_weight(n, p) * s
         terms += c
     return CorrelationReport(value=value, truncation_bound=bound, n_max_used=n_max, terms_summed=terms)
-
-
-def _stratum_sum_star(args):
-    return _stratum_sum(*args)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import mpmath as mp
@@ -51,20 +50,9 @@ def is_gamma_pole(w) -> bool:
     return wc.imag == 0 and wc.real <= 0 and wc.real == round(wc.real)
 
 
-@dataclass(frozen=True)
-class WhittakerIndex:
-    """Index pair (k, m) of W_{k,m}; kernel use requires k real and m
-    real or purely imaginary so that the value is real for x > 0."""
-
-    k: complex
-    m: complex
-
-    @property
-    def kernel_admissible(self) -> bool:
-        return self.k.imag == 0 and (self.m.imag == 0 or self.m.real == 0)
-
-
 def _validate(k: complex, m: complex, x: float):
+    if not (cmath.isfinite(k) and cmath.isfinite(m)):
+        raise DomainError(f"Whittaker indices must be finite, got k={k}, m={m}")
     if not x > 0:
         raise DomainError(f"Whittaker argument must be positive, got {x}")
     if not (X_MIN <= x <= X_MAX):
@@ -180,8 +168,7 @@ def _realify(v: complex, k: complex, m: complex) -> float:
 def whittaker_W(k, m, x: float, method: str = "direct") -> float:
     """W_{k,m}(x) for k real and m real or purely imaginary."""
     kc, mc = complex(k), complex(m)
-    idx = WhittakerIndex(kc, mc)
-    if not idx.kernel_admissible:
+    if not (kc.imag == 0 and (mc.imag == 0 or mc.real == 0)):
         raise DomainError(
             f"need k real and m real or purely imaginary, got k={k}, m={m}"
         )

@@ -127,6 +127,12 @@ def test_parameter_error_exit_code(capsys):
         ["zmeasure", "--z", "nan,0", "--n", "3"],
         ["zmeasure", "--z", "1,0", "--theta", "inf", "--n", "3"],
         ["lattice-corr", "--z", "nan,0", "--xi", "0.5", "--x", "3/2", "--nmax", "10"],
+        ["kernel", "matrix", "--z", "nan,0", "--x", "1", "--y", "2"],
+        ["corr", "--z", "nan,0", "--u", "1.0"],
+        ["verify-limit", "--z", "nan,0", "--u", "1.0", "--xi", "0.8", "--nmax", "10"],
+        ["whittaker", "--k", "nan", "--m", "0.5,0", "--x", "2.0"],
+        ["whittaker", "--k", "1", "--m", "nan,0", "--x", "2.0"],
+        ["partitions", "--n", "5", "--theta", "nan"],
     ],
 )
 def test_non_finite_parameters_exit_2(capsys, argv):
@@ -134,6 +140,21 @@ def test_non_finite_parameters_exit_2(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "finite" in captured.err
+
+
+@pytest.mark.parametrize(
+    "g",
+    ["1,2;2,3", "0,1", "1,2,3,4,5", "1,x"],
+)
+def test_malformed_permutation_exit_2(g):
+    proc = subprocess.run(
+        [sys.executable, "-m", "zmeasures.cli", "gelfand", "--n", "2", "--g", g],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
 
 
 def test_determinism_across_workers(capsys, monkeypatch):

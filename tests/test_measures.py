@@ -9,6 +9,8 @@ from zmeasures.errors import DomainError, ParameterError, ResourceCapError
 from zmeasures.measures import (
     CorrelationReport,
     ZParams,
+    _engine,
+    _positive_coordinate_shifts,
     _stratum_terms,
     lattice_correlation,
     mixed_z_measure,
@@ -185,12 +187,17 @@ def test_lattice_correlation_validation():
         lattice_correlation([Fraction(3, 2)], p, 10**6)
 
 
-def test_lattice_correlation_worker_determinism():
-    p = ZParams(1 + 1j, 0.5, 0.6)
-    r1 = lattice_correlation([Fraction(3, 2)], p, 18, workers=1)
-    r2 = lattice_correlation([Fraction(3, 2)], p, 18, workers=3)
-    assert r1.value == r2.value
-    assert r1.truncation_bound == r2.truncation_bound
+def test_engine_cache_is_bounded():
+    # cached engines are evicted as z changes, without changing values
+    lam = YoungDiagram((4, 2, 1))
+    p1 = ZParams(0.3 + 0.7j, 0.5, 0.6)
+    first = z_measure(lam, p1)
+    for z in (1.5, 2.5, 0.7 - 0.2j):
+        p2 = ZParams(z, 0.5, 0.6)
+        lattice_correlation([Fraction(3, 2)], p2, 12)
+        z_measure(lam, p2)
+    assert _engine.cache_info().currsize == 2
+    assert z_measure(lam, p1) == first
 
 
 def test_lattice_correlation_against_direct_enumeration():
@@ -251,7 +258,8 @@ def _reference_measure(parts, z, theta):
 def test_enumerator_measures_bit_identical(z, theta):
     p = ZParams(z, theta)
     for n in range(1, 13):
-        terms = _stratum_terms(n, p.z, theta, Fraction(theta), (), None, None)
+        shifts = _positive_coordinate_shifts(Fraction(theta), n)
+        terms = _stratum_terms(n, _engine(p.z, theta), shifts, (), None, None)
         # every diagram of nonzero measure, in the order iter_partition_tuples
         # yields, each with the measure z_measure and the reference loop give
         expected = [

@@ -9,7 +9,6 @@ from zmeasures.errors import (
     UnvalidatedDomainError,
 )
 from zmeasures.specfun import (
-    WhittakerIndex,
     is_gamma_pole,
     log_gamma,
     whittaker_W,
@@ -31,10 +30,13 @@ def test_log_gamma_poles():
 
 
 def test_kernel_admissibility():
-    assert WhittakerIndex(1.0, 0.5).kernel_admissible
-    assert WhittakerIndex(-0.5, 0.8j).kernel_admissible
-    assert not WhittakerIndex(1j, 0.5).kernel_admissible
-    assert not WhittakerIndex(1.0, 0.3 + 0.3j).kernel_admissible
+    # k real and m real or purely imaginary: a real value for x > 0
+    assert math.isfinite(whittaker_W(1.0, 0.5, 2.0))
+    assert math.isfinite(whittaker_W(-0.5, 0.8j, 2.0))
+    with pytest.raises(DomainError):
+        whittaker_W(1j, 0.5, 2.0)
+    with pytest.raises(DomainError):
+        whittaker_W(1.0, 0.3 + 0.3j, 2.0)
 
 
 def test_closed_form_branch():
