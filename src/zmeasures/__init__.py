@@ -25,6 +25,7 @@ from .gelfand import (
     zonal_spherical,
 )
 from .kernels import (
+    KernelContext,
     KernelParams,
     MatrixKernelValue,
     S,
@@ -53,6 +54,7 @@ __all__ = [
     "CorrelationReport",
     "CosetType",
     "DomainError",
+    "KernelContext",
     "KernelParams",
     "LatticeConfig",
     "LimitReport",

@@ -14,7 +14,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .correlations import (
+from .correlations import (  # noqa: F401 (perfbench/tracing.py wraps cli.continuum_correlation)
     continuum_correlation,
     lattice_point_for,
     verify_limit,
@@ -36,6 +36,7 @@ from .measures import (
 )
 from .pairings import Matching, cycle_count, enumerate_matchings, t_measure
 from .partitions import YoungDiagram, frobenius_coordinates, iter_partition_tuples
+from .pfaffian import assemble, pfaffian
 from .specfun import whittaker_W, whittaker_W_deriv
 
 
@@ -233,7 +234,9 @@ def _cmd_kernel(args) -> list[dict]:
 
 
 def _cmd_corr(args) -> list[dict]:
-    val = continuum_correlation(args.u, args.z)
+    # the mpmath reference route (matrix_kernel blocks), whose printed
+    # values the documented output pins; continuum_correlation uses tables
+    val = pfaffian(assemble(args.u, KernelParams(args.z)))
     return [
         {
             "points": " ".join(repr(u) for u in args.u),

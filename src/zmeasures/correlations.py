@@ -1,7 +1,12 @@
 """Continuum correlation functions and the lattice scaling-limit harness.
 
 The continuum n-point function is the Pfaffian of the assembled 2n x 2n
-kernel matrix.  The harness rescales lattice correlation probabilities
+kernel matrix, whose blocks come from one ``kernels.KernelContext`` per
+call: Taylor tables of the Whittaker functions, seeded by four
+``whittaker_W`` calls at x = 200 and checked against the mpmath route in
+the tests, so no mpmath call is made per quadrature node and the
+Poincare-series stall above x = 40 no longer refuses a correlation.  The
+harness rescales lattice correlation probabilities
 by (1-xi)^{-n} along a xi-ladder, with the lattice points chosen as the
 half-integers nearest to u/(1-xi) (ties broken downward, computed in
 exact rational arithmetic for reproducibility), and compares against the
@@ -16,7 +21,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DomainError, ParameterError, ResourceCapError
-from .kernels import KernelParams, S_partials
+from .kernels import KernelContext, KernelParams
 from .measures import CorrelationReport, ZParams, lattice_correlation
 from .pfaffian import assemble, pfaffian
 
@@ -25,9 +30,10 @@ DEFAULT_NMAX = 80
 
 
 def continuum_correlation(points: Sequence[float], z: complex) -> float:
-    """rho_n(x_1, ..., x_n): Pfaffian of the assembled kernel matrix."""
+    """rho_n(x_1, ..., x_n): Pfaffian of the assembled kernel matrix,
+    with the blocks taken from one KernelContext built for z."""
     params = KernelParams(complex(z))
-    return pfaffian(assemble(points, params))
+    return pfaffian(assemble(points, KernelContext(params)))
 
 
 def _exact(v) -> Fraction:

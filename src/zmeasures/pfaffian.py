@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .kernels import KernelParams, matrix_kernel
+from .kernels import KernelContext, KernelParams, matrix_kernel
 
 ANTISYMMETRY_BUILD_TOL = 1e-8
 ASSEMBLY_TOL = 1e-6
@@ -119,25 +119,33 @@ def pfaffian_expansion(A: AntisymmetricMatrix | np.ndarray) -> float:
     return rec(tuple(range(m.shape[0])))
 
 
-def assemble(points: Sequence[float], params: KernelParams) -> AntisymmetricMatrix:
-    """2n x 2n matrix with 2x2 blocks matrix_kernel(x_i, x_j).
+def assemble(
+    points: Sequence[float], kernel: KernelParams | KernelContext
+) -> AntisymmetricMatrix:
+    """2n x 2n matrix with 2x2 blocks [[S, S_y], [S_x, S_xy]](x_i, x_j).
 
-    Every block is computed independently; if the result fails
-    antisymmetry beyond ASSEMBLY_TOL the kernel values are inconsistent
-    and a NumericalError is raised rather than silently repairing them.
+    Given ``KernelParams`` the blocks are ``matrix_kernel`` values (the
+    mpmath reference route); given a ``KernelContext`` they come from its
+    Taylor tables.  Every block is computed independently; if the result
+    fails antisymmetry beyond ASSEMBLY_TOL the kernel values are
+    inconsistent and a NumericalError is raised rather than silently
+    repairing them.
     """
     xs = [float(x) for x in points]
     if len(set(xs)) != len(xs):
         raise DomainError(f"points must be distinct, got {xs}")
     if any(x <= 0 for x in xs):
         raise DomainError(f"points must be positive, got {xs}")
+    if isinstance(kernel, KernelContext):
+        block = kernel.block
+    else:
+        def block(x, y):
+            return matrix_kernel(x, y, kernel)
     n = len(xs)
     m = np.zeros((2 * n, 2 * n))
     for i, x in enumerate(xs):
         for j, y in enumerate(xs):
-            m[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = matrix_kernel(
-                x, y, params
-            ).as_array()
+            m[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = block(x, y).as_array()
     violation = np.abs(m + m.T).max()
     if violation > ASSEMBLY_TOL * max(1.0, np.abs(m).max()):
         raise NumericalError(

