@@ -14,6 +14,28 @@ its cells cannot reach one, so diagrams that cannot contain the points
 are never built.  The truncation bound is certified: the z-measure at
 each size sums to exactly 1, so the discarded mass is exactly the
 negative-binomial tail.
+
+The measure has two evaluators, one per kind of traffic:
+
+- ``_MeasureEngine.measure`` evaluates one diagram with a scalar loop.
+  It serves ``z_measure``, ``mixed_z_measure`` and the CLI tables, which
+  ask for many diagrams one at a time.
+- ``_chunk_measures`` evaluates the diagrams of one stratum (one size n)
+  together, in numpy, for ``lattice_correlation``.  It runs the same
+  float operations in the same order as the scalar loop, so every value
+  is bit-identical to it, and a stratum's terms are summed in the order
+  of a full reverse-lexicographic enumeration.  The walk's diagrams are
+  evaluated in chunks of ``_CHUNK_CELLS // n`` diagrams, so the float
+  arrays stay near ``_CHUNK_CELLS`` entries whatever a stratum holds.
+
+Both renormalise the hook products H and H' at row ends.  A diagram whose
+products leave the float range inside one row, as a row of 171 or more
+cells does, has its hook term recomputed as a sum of logs instead, so
+sizes up to ``LATTICE_NMAX_CAP`` are evaluated correctly.
+
+At theta = 1 the mixed z-measure is a Schur measure, and
+``schur_correlation`` computes its lattice correlations exactly as a
+determinant, as an independent check on the enumeration.
 """
 
 from __future__ import annotations
@@ -24,7 +46,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DomainError, ParameterError, ResourceCapError, validate_z
+import numpy as np
+
+from .errors import DomainError, NumericalError, ParameterError, ResourceCapError, validate_z
 from .partitions import (
     HALF,
     YoungDiagram,
@@ -85,6 +109,7 @@ class _MeasureEngine:
         self.a = abs(z) ** 2 / self.theta
         self._row_logs: list[list[float]] = []  # cumulative 2*log|factor|
         self._row_zero: list[int] = []  # first column count hitting a zero factor
+        self._row_arrays = (np.zeros((0, 1)), np.zeros(0, dtype=np.int64))
 
     def _ensure_row(self, i: int, length: int):
         while len(self._row_logs) < i:
@@ -115,12 +140,26 @@ class _MeasureEngine:
                 return j
         return None
 
-    def measure(self, parts: tuple[int, ...], conj: Sequence[int] | None = None) -> float:
-        """Probability mass of ``parts`` under the z-measure at its size.
+    def row_log_table(self, rows: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+        """The row tables as arrays covering at least ``rows`` rows and
+        lengths 0..``width``: ``logs[i, p]`` is the entry ``measure`` reads
+        for row i+1 of length p, and ``zero[i]`` the first length at which
+        row i+1 holds a zero factor.  Grown by doubling, so a walk over
+        growing n rebuilds them a logarithmic number of times."""
+        logs, zero = self._row_arrays
+        have_rows, have_width = logs.shape[0], logs.shape[1] - 1
+        if have_rows < rows or have_width < width:
+            rows = have_rows if rows <= have_rows else max(rows, 2 * have_rows)
+            width = have_width if width <= have_width else max(width, 2 * have_width)
+            for i in range(1, rows + 1):
+                self._ensure_row(i, width)
+            logs = np.array([row[: width + 1] for row in self._row_logs[:rows]])
+            zero = np.array(self._row_zero[:rows], dtype=np.int64)
+            self._row_arrays = (logs, zero)
+        return logs, zero
 
-        ``conj`` is the conjugate (column heights) when the caller already
-        has it; the result is the same float either way.
-        """
+    def measure(self, parts: tuple[int, ...]) -> float:
+        """Probability mass of ``parts`` under the z-measure at its size."""
         n = sum(parts)
         if n == 0:
             raise DomainError("z-measure is defined on partitions of n >= 1")
@@ -135,8 +174,7 @@ class _MeasureEngine:
             if p >= self._row_zero[i]:
                 return 0.0
             num += log_row
-        if conj is None:
-            conj = conjugate_parts(parts)
+        conj = conjugate_parts(parts)
         # hook products as renormalized float products, row by row
         th = self.theta
         h = 1.0
@@ -148,12 +186,28 @@ class _MeasureEngine:
                 h *= x + 1.0
                 hp *= x + th
             if h > 1e250 or hp > 1e250 or hp < 1e-250:
+                if h == math.inf or hp == math.inf or hp == 0.0:
+                    # left the float range inside a row
+                    hexp, h, hp = self.hook_log_sum(parts, conj), 1.0, 1.0
+                    break
                 hexp += math.log(h) + math.log(hp)
                 h = 1.0
                 hp = 1.0
         logden = hexp + math.log(h) + math.log(hp)
         logden += math.lgamma(self.a + n) - math.lgamma(self.a)
         return math.exp(math.lgamma(n + 1) + num - logden)
+
+    def hook_log_sum(self, parts: Sequence[int], conj: Sequence[int]) -> float:
+        """log H(lam) + log H'(lam) as a correctly rounded sum of the logs of
+        the hook factors: the fallback for diagrams whose hook products
+        overflow (or underflow) before a row ends, as a row of length
+        n >= 171 does."""
+        th = self.theta
+        return math.fsum(
+            math.log(x + 1.0) + math.log(x + th)
+            for i, p in enumerate(parts, start=1)
+            for x in (arm + (c - i) * th for arm, c in zip(range(p - 1, -1, -1), conj))
+        )
 
 
 # two entries: callers loop over diagrams at one (z, theta), or at one and
@@ -256,8 +310,9 @@ def _walk_columns(
     max_width: int,
     visit,
 ) -> None:
-    """Call ``visit(cols)`` for each partition of n, given by its column
-    heights cols, whose positive coordinates contain every target.
+    """Call ``visit(cols, tails)`` for the partitions of n whose positive
+    coordinates contain every target: each is given by its column
+    heights, ``cols`` followed by one of the ``tails``.
 
     Columns are built left to right, tallest first.  Column j (1-based)
     of height c carries the positive coordinate v = c - shifts[j-1];
@@ -266,7 +321,9 @@ def _walk_columns(
     unmet target (or at v <= 0, where no positive coordinate exists),
     or the cells left cannot reach the unmet targets.  Heights are at
     most ``max_height``, and there are at most ``max_width`` columns.
-    The list passed to ``visit`` is reused; copy it to keep it.
+    Once the targets are met, completions of at most ``_TAIL_CELLS``
+    cells are read from a table rather than walked.  The list passed to
+    ``visit`` is reused; copy it to keep it.
     """
     bs = sorted(target_bs, reverse=True)
     # need[k][j]: fewest cells that columns j+1, j+2, ... (0-based) must
@@ -285,18 +342,37 @@ def _walk_columns(
         _walk_free([], n, max_height, max_width, visit)
 
 
+# completions of at most this many cells are read from a table
+_TAIL_CELLS = 12
+
+
+@functools.lru_cache(maxsize=None)
+def _tail_table(cells: int) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
+    """The partitions of ``cells`` in reverse lexicographic order, and
+    start[c]: the index of the first one with largest part at most c."""
+    tails = tuple(iter_partition_tuples(cells))
+    start = [len(tails)] * (cells + 1)
+    for i in range(len(tails) - 1, -1, -1):
+        start[tails[i][0] if tails[i] else 0] = i
+    for c in range(1, cells + 1):
+        start[c] = min(start[c], start[c - 1])
+    return tails, start
+
+
 def _walk_free(cols: list[int], remaining: int, largest: int, cols_left: int, visit) -> None:
-    """Visit each completion of ``cols`` by at most ``cols_left`` columns
+    """Visit the completions of ``cols`` by at most ``cols_left`` columns
     of height at most ``largest`` holding ``remaining`` cells."""
-    if remaining == 0:
-        visit(cols)
+    if remaining <= _TAIL_CELLS:
+        tails, start = _tail_table(remaining)
+        tails = tails[start[min(largest, remaining)]:]
+        if cols_left < remaining:
+            tails = [t for t in tails if len(t) <= cols_left]
+        visit(cols, tails)
         return
     if largest == 1:
         # the only completion is a run of single cells
         if remaining <= cols_left:
-            cols.extend([1] * remaining)
-            visit(cols)
-            del cols[-remaining:]
+            visit(cols, ((1,) * remaining,))
         return
     if cols_left == 0:
         return
@@ -337,30 +413,112 @@ def _walk_directed(
         cols.pop()
 
 
-def _stratum_terms(
+# cells whose float arrays are evaluated together: a stratum of size n is
+# evaluated in chunks of _CHUNK_CELLS // n diagrams, so the arrays of a chunk
+# stay near _CHUNK_CELLS entries whatever the stratum holds
+_CHUNK_CELLS = 4096
+
+
+def _chunk_measures(n: int, eng: _MeasureEngine, heights: list[int], widths: list[int]):
+    """Parts (zero-padded rows) and z-measures of the partitions of n whose
+    column heights are ``heights``, diagram after diagram, with
+    ``widths`` columns each.
+
+    The measures are the floats ``eng.measure`` returns: the same float
+    operations in the same order, run across the diagrams at once.  Row
+    Pochhammer logs are gathered from the engine's row tables and added
+    row by row; the hook factors of each diagram are laid out in
+    row-major cell order (every diagram has n cells) and multiplied by
+    the sequential ``np.multiply.accumulate``; a diagram whose running
+    product meets the renormalisation test at a row end is handed to
+    ``eng.measure`` whole; logs, lgammas and exps are taken per diagram
+    with ``math``, whose rounding numpy's own functions do not share.
+    """
+    count = len(widths)
+    cols = np.fromiter(heights, np.int64, len(heights))
+    width = np.array(widths)
+    rows = int(cols.max())
+    first_col = np.cumsum(width) - width
+    # parts[d, i] counts the columns of diagram d taller than i
+    tally = np.bincount(np.repeat(np.arange(0, count * (rows + 1), rows + 1), width) + cols,
+                        minlength=count * (rows + 1))
+    parts = np.cumsum(tally.reshape(count, rows + 1)[:, :0:-1], axis=1)[:, ::-1]
+    logs, zero_at = eng.row_log_table(rows, int(width.max()))
+    vanishes = (parts >= zero_at[:rows]).any(axis=1)
+    row_logs = np.take(logs, parts + np.arange(0, rows * logs.shape[1], logs.shape[1]))
+    num = np.add.accumulate(row_logs, axis=1)[:, -1]
+
+    # cell k of the chunk lies in row block r = block[k], row r % rows + 1
+    # of diagram r // rows; its arm counts the cells after it in the row
+    flat = parts.ravel()
+    row_end = np.cumsum(flat) - 1
+    block = np.repeat(np.arange(count * rows), flat)
+    k = np.arange(count * n)
+    arm = row_end[block] - k
+    # its column is column k - (row_end - flat + 1)[block] of that diagram
+    col_shift = np.repeat(first_col, rows) - (row_end - flat + 1)
+    row_number = np.arange(count * rows) % rows + 1
+    leg = cols[k + col_shift[block]] - row_number[block]
+    th = eng.theta
+    x = arm + leg * th
+    with np.errstate(over="ignore", under="ignore"):
+        h = np.multiply.accumulate((x + 1.0).reshape(count, n), axis=1)[:, -1]
+        hp = np.multiply.accumulate((x + th).reshape(count, n), axis=1)
+    # the factors of h are >= 1, so h is largest at the last row end
+    hp_end = hp.ravel()[row_end].reshape(count, rows)
+    renorm = (h > 1e250) | ((hp_end > 1e250) | (hp_end < 1e-250)).any(axis=1)
+
+    m = np.zeros(count)
+    plain = ~(vanishes | renorm)
+    # log H >= 0 is never -0.0, so the scalar loop's 0.0 + log H is log H
+    logden = np.array(list(map(math.log, h[plain].tolist())))
+    logden += np.array(list(map(math.log, hp[plain, -1].tolist())))
+    logden += math.lgamma(eng.a + n) - math.lgamma(eng.a)
+    m[plain] = list(map(math.exp, ((math.lgamma(n + 1) + num[plain]) - logden).tolist()))
+    for d in np.flatnonzero(renorm & ~vanishes).tolist():
+        m[d] = eng.measure(tuple(parts[d][parts[d] > 0].tolist()))
+    return parts, m
+
+
+def _stratum_measures(
     n: int,
     eng: _MeasureEngine,
     shifts: Sequence[int],
     target_bs: tuple[int, ...],
     max_rows: int | None,
     max_cols: int | None,
-) -> list[tuple[tuple[int, ...], float]]:
-    """(parts, measure) for each partition of n with nonzero measure under
-    ``eng`` whose positive coordinates contain all target points, at most
-    ``max_rows`` rows and at most ``max_cols`` columns, in reverse
-    lexicographic order of parts.  ``shifts`` is
-    ``_positive_coordinate_shifts`` of theta, at least n long."""
+) -> tuple[np.ndarray, list[float]]:
+    """Parts (zero-padded rows) and z-measures of the partitions of n with
+    nonzero measure under ``eng`` whose positive coordinates contain all
+    target points, at most ``max_rows`` rows and at most ``max_cols``
+    columns, in reverse lexicographic order of parts.  ``shifts`` is
+    ``_positive_coordinate_shifts`` of theta, at least n long.
+
+    The walk's column heights are gathered into chunks of ``_CHUNK_CELLS // n``
+    diagrams, and each chunk is evaluated by ``_chunk_measures``."""
     if n > LATTICE_NMAX_CAP:
         raise ResourceCapError(
             f"partition enumeration capped at n <= {LATTICE_NMAX_CAP}, got {n}"
         )
-    terms = []
+    chunk = max(1, _CHUNK_CELLS // n)
+    heights: list[int] = []
+    widths: list[int] = []
+    done: list[tuple[np.ndarray, np.ndarray]] = []
 
-    def visit(cols):
-        parts = tuple(conjugate_parts(cols))
-        m = eng.measure(parts, cols)
-        if m != 0.0:
-            terms.append((parts, m))
+    def flush():
+        parts, m = _chunk_measures(n, eng, heights, widths)
+        keep = m != 0.0
+        done.append((parts[keep].astype(np.uint8), m[keep]))
+        heights.clear()
+        widths.clear()
+
+    def visit(cols, tails):
+        for tail in tails:
+            heights.extend(cols)
+            heights.extend(tail)
+            widths.append(len(cols) + len(tail))
+            if len(widths) == chunk:
+                flush()
 
     _walk_columns(
         n,
@@ -370,9 +528,30 @@ def _stratum_terms(
         n if max_cols is None else min(n, max_cols),
         visit,
     )
+    if widths:
+        flush()
+    if not done:
+        return np.zeros((0, 0), dtype=np.uint8), []
+    rows = max(parts.shape[1] for parts, _ in done)
+    parts = np.concatenate([np.pad(p, ((0, 0), (0, rows - p.shape[1]))) for p, _ in done])
+    m = np.concatenate([m for _, m in done])
     # the order iter_partition_tuples yields, so that sums are bit-stable
-    terms.sort(reverse=True)
-    return terms
+    order = np.lexsort(parts.T[::-1])[::-1]
+    return parts[order], m[order].tolist()
+
+
+def _stratum_terms(
+    n: int,
+    eng: _MeasureEngine,
+    shifts: Sequence[int],
+    target_bs: tuple[int, ...],
+    max_rows: int | None,
+    max_cols: int | None,
+) -> list[tuple[tuple[int, ...], float]]:
+    """(parts, measure) for each diagram ``_stratum_measures`` returns, in
+    its order."""
+    parts, m = _stratum_measures(n, eng, shifts, target_bs, max_rows, max_cols)
+    return [(tuple(int(v) for v in row if v), mv) for row, mv in zip(parts, m)]
 
 
 def _stratum_sum(
@@ -385,11 +564,11 @@ def _stratum_sum(
 ) -> tuple[float, int]:
     """Sum of z-measures over partitions of n whose positive coordinates
     contain all target points.  Returns (sum, matching diagram count)."""
-    terms = _stratum_terms(n, eng, shifts, target_bs, max_rows, max_cols)
+    _, m = _stratum_measures(n, eng, shifts, target_bs, max_rows, max_cols)
     total = 0.0
-    for _, m in terms:
-        total += m
-    return total, len(terms)
+    for v in m:
+        total += v
+    return total, len(m)
 
 
 def lattice_correlation(
@@ -405,7 +584,13 @@ def lattice_correlation(
     positive coordinates contain X, found by a column-by-column walk that
     cuts every prefix no completion of which can contain X; diagrams
     whose measure vanishes identically because of a first-row or
-    first-column Pochhammer zero are never generated.  ``terms_summed``
+    first-column Pochhammer zero are never generated.  The walk's
+    diagrams are evaluated in numpy batches of at most
+    ``_CHUNK_CELLS // n`` diagrams, whose measures are bit-identical to
+    ``z_measure``, and added in reverse lexicographic order of parts, the
+    order of a full enumeration.  Hook products that leave the float
+    range inside a row (a row of 171 or more cells) are summed as logs,
+    so every size up to ``LATTICE_NMAX_CAP`` counts.  ``terms_summed``
     counts the diagrams with nonzero measure that contain X.  The point
     1/2 is no positive coordinate of any diagram, so an X holding it
     returns 0 without a walk.
@@ -433,3 +618,79 @@ def lattice_correlation(
             value += negative_binomial_weight(n, p) * s
         terms += c
     return CorrelationReport(value=value, truncation_bound=bound, n_max_used=n_max, terms_summed=terms)
+
+
+def _binomial_series(e: complex, s: np.longdouble, count: int) -> np.ndarray:
+    """The first ``count`` Taylor coefficients of (1 - s t)^e in t."""
+    k = np.arange(1, count, dtype=np.longdouble)
+    out = np.ones(count, dtype=np.clongdouble)
+    out[1:] = np.cumprod((k - 1 - e) / k * s)
+    return out
+
+
+def _schur_determinant(bs: Sequence[int], zeta: complex, s: np.longdouble, count: int) -> float:
+    """det[K(b_i - 1/2, b_j - 1/2)] from ``count`` coefficients of each
+    binomial series, in long double.
+
+    The Laurent coefficients of 1/J are the conjugates of those of J (s
+    is real), so K is the Gram matrix of the rows a_i = (J_{b_i+k})_k,
+    and its determinant is the product of the squared norms of the rows
+    after Gram-Schmidt.  For sparse points the rows are nearly parallel;
+    orthogonalising them loses about half the digits that forming K and
+    taking its determinant would lose.
+    """
+    # J(t) = (1 - s t)^zeta (1 - s/t)^(-zbar); j[m] is the coefficient of t^m
+    a = _binomial_series(zeta, s, count)
+    j = np.convolve(a, _binomial_series(-zeta.conjugate(), s, count)[::-1])[count - 1:]
+    terms = count - max(bs)
+    det = np.longdouble(1)
+    basis: list[np.ndarray] = []
+    for b in bs:
+        v = j[b:b + terms].copy()
+        for _ in range(2):  # twice, so the rounding of the first pass is removed
+            for q in basis:
+                v -= np.vdot(q, v) * q
+        norm2 = np.vdot(v, v).real
+        if norm2 == 0:
+            return 0.0
+        det *= norm2
+        basis.append(v / np.sqrt(norm2))
+    return float(det)
+
+
+def schur_correlation(X: Sequence, p: ZParams) -> float:
+    """Lattice correlation of X at theta = 1 from Okounkov's Schur-measure
+    kernel, with no enumeration and no truncation in |lam|.
+
+    At theta = 1 the mixed z-measure is a Schur measure, so its
+    correlation functions are determinants.  With s = sqrt(xi) and
+    J(t) = (1 - s t)^z (1 - s/t)^(-zbar), the coefficients J_m and
+    (1/J)_m of the Laurent series give the kernel
+
+        K(x, y) = sum_{k >= 0} J_{x+1/2+k} (1/J)_{-y-1/2-k},   x, y in Z + 1/2,
+
+    and ``lattice_correlation(X)`` is det[K(x_i - 1, x_j - 1)]: the
+    positive coordinates of this package are the modified Frobenius legs
+    plus 1, so 1/2 is never occupied.  The series are cut at
+    N = 60/(1 - xi) + 200 terms and at 2N, in long double (a 64-bit
+    significand on x86-64); the 2N value is returned, and it is refused
+    with ``NumericalError`` when the two differ by more than 1e-10 of its
+    size.  The determinant is taken by Gram-Schmidt (see
+    ``_schur_determinant``), which keeps sparse points, whose kernel
+    rows are nearly parallel, accurate to about 1e-15.
+    """
+    if p.theta != 1:
+        raise ParameterError(f"schur_correlation needs theta = 1, got {p.theta}")
+    bs = _validate_lattice_points(X)
+    if 0 in bs:
+        return 0.0
+    s = np.sqrt(np.longdouble(p.xi))
+    count = int(60 / (1 - p.xi)) + 200
+    short = _schur_determinant(bs, p.z, s, count)
+    full = _schur_determinant(bs, p.z, s, 2 * count)
+    if abs(full - short) > 1e-10 * abs(full):
+        raise NumericalError(
+            f"Schur-kernel determinant unstable: {full!r} from {2 * count} "
+            f"coefficients, {short!r} from {count}"
+        )
+    return full

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from zmeasures import measures
 from zmeasures.errors import DomainError, ParameterError, ResourceCapError
@@ -16,6 +16,7 @@ from zmeasures.measures import (
     mixed_z_measure,
     negative_binomial_tail,
     negative_binomial_weight,
+    schur_correlation,
     z_measure,
     z_measure_symmetry_check,
 )
@@ -316,3 +317,120 @@ def test_lattice_correlation_matches_brute_force(case):
     rep = lattice_correlation(X, p, n_max)
     assert rep.terms_summed == terms
     assert math.isclose(rep.value, value, rel_tol=1e-12, abs_tol=0.0)
+
+
+@pytest.mark.parametrize("n", [171, 185, 200])
+def test_long_row_hook_products_do_not_overflow(n):
+    # one row of n >= 171 cells: n! leaves the float range inside the row
+    assert z_measure(YoungDiagram((n,)), ZParams(0.5, 0.5)) == pytest.approx(1.0, rel=1e-9)
+
+
+def test_lattice_correlation_counts_sizes_above_170():
+    p = ZParams(0.5, 0.5, 0.97)
+    r170 = lattice_correlation([Fraction(3, 2)], p, 170)
+    r200 = lattice_correlation([Fraction(3, 2)], p, 200)
+    assert r200.terms_summed == 200
+    assert r200.value > r170.value
+    assert r200.value <= r170.value + r170.truncation_bound
+
+
+def test_row_end_renormalisation_golden():
+    # one-row diagrams with 145 <= n <= 170 renormalise their hook products
+    # at the row end; the values are those of the scalar loop
+    rep = lattice_correlation([Fraction(3, 2)], ZParams(0.5, 0.5, 0.97), 170)
+    assert rep.value.hex() == (0.8255360410357081).hex()
+    assert rep.truncation_bound.hex() == (0.0012588782074087958).hex()
+    assert rep.terms_summed == 170
+
+
+def _reference_stratum_sum(n, p, bs, max_rows, max_cols):
+    """Sequential sum of _reference_measure over the partitions of n that
+    contain the targets, in iter_partition_tuples order, and their count."""
+    X = {Fraction(2 * b + 1, 2) for b in bs}
+    total = 0.0
+    count = 0
+    for parts in iter_partition_tuples(n, max_rows=max_rows, max_cols=max_cols):
+        if X <= set(frobenius_coordinates(YoungDiagram(parts), p.theta).positives):
+            m = _reference_measure(parts, complex(p.z), float(p.theta))
+            total += m
+            count += m != 0.0
+    return total, count
+
+
+def _stratum_cuts(p):
+    eng = _engine(p.z, float(p.theta))
+    zero_row = eng.first_column_zero_row(40)
+    zero_col = eng.first_row_zero_col(40)
+    return eng, (None if zero_row is None else zero_row - 1), (None if zero_col is None else zero_col - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_lattice_cases(), st.integers(1, 14), st.integers(1, 8))
+def test_stratum_sum_bit_identical(case, n, per_chunk):
+    # chunks of per_chunk diagrams, so that most strata span several chunks
+    p, X, _ = case
+    bs = tuple(int(x - Fraction(1, 2)) for x in X)
+    assume(0 not in bs)
+    eng, max_rows, max_cols = _stratum_cuts(p)
+    shifts = _positive_coordinate_shifts(Fraction(p.theta), n)
+    saved = measures._CHUNK_CELLS
+    measures._CHUNK_CELLS = per_chunk * n
+    try:
+        got = measures._stratum_sum(n, eng, shifts, bs, max_rows, max_cols)
+    finally:
+        measures._CHUNK_CELLS = saved
+    total, count = _reference_stratum_sum(n, p, bs, max_rows, max_cols)
+    assert got[0].hex() == total.hex()
+    assert got[1] == count
+
+
+def test_stratum_sum_bit_identical_across_default_chunks():
+    p = ZParams(0.3 + 0.7j, 0.5, 0.6)
+    n = 24
+    bs = (1,)
+    eng = _engine(p.z, 0.5)
+    got = measures._stratum_sum(n, eng, _positive_coordinate_shifts(Fraction(1, 2), n), bs, None, None)
+    total, count = _reference_stratum_sum(n, p, bs, None, None)
+    assert count > measures._CHUNK_CELLS // n
+    assert got[0].hex() == total.hex()
+    assert got[1] == count
+
+
+def test_schur_correlation_refuses_theta_other_than_one():
+    with pytest.raises(ParameterError):
+        schur_correlation([Fraction(3, 2)], ZParams(0.6 + 0.8j, 0.5, 0.3))
+    assert schur_correlation([Fraction(1, 2), Fraction(3, 2)], ZParams(0.6 + 0.8j, 1.0, 0.3)) == 0.0
+
+
+def test_schur_correlation_one_point_value():
+    p = ZParams(0.6 + 0.8j, 1.0, 0.3)
+    assert schur_correlation([Fraction(3, 2)], p) == pytest.approx(0.27737470009654014, rel=1e-14)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from((0.6 + 0.8j, -0.6 - 0.8j, 0.3 - 1.4j, 1.3, -0.7 + 0.2j)),
+    st.floats(0.05, 0.5),
+    st.lists(st.integers(1, 5), min_size=1, max_size=3, unique=True),
+)
+def test_schur_correlation_matches_lattice_correlation(zeta, xi, bs):
+    p = ZParams(zeta, 1.0, xi)
+    X = [Fraction(2 * b + 1, 2) for b in bs]
+    exact = schur_correlation(X, p)
+    rep = lattice_correlation(X, p, 24)
+    # the enumeration's value lies in [exact - bound, exact]
+    assert rep.value <= exact * (1 + 1e-12) + 1e-300
+    assert exact <= (rep.value + rep.truncation_bound) * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("z, theta", [(1.0, 0.5), (4.0, 2.0), (6.0, 3.0)])
+@pytest.mark.parametrize("n", [145, 160])
+def test_batch_renormalises_like_the_scalar_loop(z, theta, n):
+    # z = 2 theta: at most two rows; a long first row renormalises the hook
+    # products (H at theta = 1/2, H' at theta = 2 and 3) before the second starts
+    p = ZParams(z, theta)
+    shifts = _positive_coordinate_shifts(Fraction(theta), n)
+    terms = _stratum_terms(n, _engine(p.z, theta), shifts, (), 2, None)
+    assert [parts for parts, _ in terms] == list(iter_partition_tuples(n, max_rows=2, cap=n))
+    for parts, m in terms:
+        assert m == _reference_measure(parts, complex(z), theta)
