@@ -369,7 +369,11 @@ def run(argv=None) -> int:
     except ZMeasuresError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    _emit(rows, args.format, args.out)
+    try:
+        _emit(rows, args.format, args.out)
+    except OSError as e:
+        print(f"error: cannot write output: {e}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -36,19 +36,23 @@ def continuum_correlation(points: Sequence[float], z: complex) -> float:
     return pfaffian(assemble(points, KernelContext(params)))
 
 
-def _exact(v) -> Fraction:
+def _exact(v, what: str = "value") -> Fraction:
     """Exact rational from a float or string via its shortest repr, so
-    command-line decimals like 0.9 mean exactly 9/10."""
+    command-line decimals like 0.9 mean exactly 9/10; malformed and
+    non-finite input is refused with ParameterError."""
     if isinstance(v, Fraction):
         return v
-    return Fraction(str(v))
+    try:
+        return Fraction(str(v))
+    except (ValueError, ZeroDivisionError):
+        raise ParameterError(f"{what} must be a finite number, got {v!r}") from None
 
 
 def lattice_point_for(u, xi) -> Fraction:
     """The element of Z_{>=0} + 1/2 nearest to u/(1-xi); on ties the
     smaller half-integer wins; clamped below at 1/2."""
-    uf = _exact(u)
-    xif = _exact(xi)
+    uf = _exact(u, "u")
+    xif = _exact(xi, "xi")
     if not 0 <= xif < 1:
         raise ParameterError(f"xi must lie in [0, 1), got {xi}")
     if not uf > 0:
@@ -95,21 +99,25 @@ def verify_limit(
     if n_max < 0 or n_max > VERIFY_NMAX_CAP:
         raise ResourceCapError(f"n_max must lie in [0, {VERIFY_NMAX_CAP}]")
     n = len(us)
+    # the whole ladder is checked before any correlation is computed
+    exact_us = [_exact(u, "u") for u in u_points]
+    ladder = [_exact(xi, "xi") for xi in xi_ladder]
+    rungs = []
+    for xi, xif in zip(xi_ladder, ladder):
+        pts = tuple(lattice_point_for(u, xif) for u in exact_us)
+        if len(set(pts)) != len(pts):
+            raise DomainError(
+                f"u-points collapse to coincident lattice points {pts} at xi={xi}"
+            )
+        rungs.append(pts)
     cont = continuum_correlation(us, z)
 
-    lattice_pts: list[tuple[Fraction, ...]] = []
     rescaled: list[float] = []
     bounds: list[float] = []
     deviations: list[float] = []
     rel_devs: list[float] = []
     inconclusive: list[bool] = []
-    for xi in xi_ladder:
-        xif = _exact(xi)
-        pts = tuple(lattice_point_for(_exact(u), xif) for u in u_points)
-        if len(set(pts)) != len(pts):
-            raise DomainError(
-                f"u-points collapse to coincident lattice points {pts} at xi={xi}"
-            )
+    for xif, pts in zip(ladder, rungs):
         zp = ZParams(complex(z), 0.5, float(xif))
         rep: CorrelationReport = lattice_correlation(pts, zp, n_max)
         scale = float((1 - xif)) ** (-n)
@@ -117,7 +125,6 @@ def verify_limit(
         bound = rep.truncation_bound * scale
         dev = abs(val - cont)
         denom = max(abs(val), abs(cont))
-        lattice_pts.append(pts)
         rescaled.append(val)
         bounds.append(bound)
         deviations.append(dev)
@@ -126,8 +133,8 @@ def verify_limit(
     return LimitReport(
         u_points=tuple(us),
         z=complex(z),
-        xi_ladder=tuple(float(_exact(x)) for x in xi_ladder),
-        lattice_points=tuple(lattice_pts),
+        xi_ladder=tuple(float(xif) for xif in ladder),
+        lattice_points=tuple(rungs),
         rescaled_lattice=tuple(rescaled),
         rescaled_bounds=tuple(bounds),
         continuum=cont,

@@ -139,6 +139,9 @@ def iter_partition_tuples(
         raise DomainError(f"n must be nonnegative, got {n}")
     if n > cap:
         raise ResourceCapError(f"partition enumeration capped at n <= {cap}, got {n}")
+    for what, bound in (("max_rows", max_rows), ("max_cols", max_cols)):
+        if bound is not None and bound < 0:
+            raise DomainError(f"{what} must be nonnegative, got {bound}")
     first = n if max_cols is None else min(n, max_cols)
     rows = n if max_rows is None else max_rows
 

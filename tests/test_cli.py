@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from zmeasures.cli import run
 
@@ -212,3 +215,74 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("partition,")
+
+
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        (["verify-limit", "--z", "0.3,0.4", "--u", "1.0", "--xi", "0.8,abc"], "xi"),
+        (["verify-limit", "--z", "0.3,0.4", "--u", "1.0", "--xi", "nan"], "xi"),
+        (["verify-limit", "--z", "0.3,0.4", "--u", "1.0", "--xi", "inf"], "xi"),
+        (["verify-limit", "--z", "0.3,0.4", "--u", "nan", "--xi", "0.8"], "u"),
+    ],
+)
+def test_verify_limit_bad_ladder_or_u_exit_2(capsys, argv, where):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {where} must be a finite number")
+
+
+def test_unwritable_out_exit_2(tmp_path, capsys):
+    dest = tmp_path / "missing" / "x.csv"
+    assert run(["zmeasure", "--z", "1,0", "--n", "2", "--out", str(dest)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert not dest.exists()
+
+
+# Every subcommand with cheap valid values for its numeric arguments.  The
+# fuzz test below replaces at least one of them with a value from _BAD, so
+# no slow mpmath-route computation runs.
+_FUZZ_COMMANDS = {
+    "partitions": (["partitions"], {"--n": "3", "--theta": "0.5", "--max-rows": "2"}),
+    "zmeasure": (["zmeasure"], {"--z": "1,0", "--theta": "0.5", "--n": "2"}),
+    "mixed": (["mixed"], {"--z": "1,0", "--theta": "0.5", "--xi": "0.5", "--n": "2"}),
+    "lattice-corr": (
+        ["lattice-corr"],
+        {"--z": "0.5,0", "--theta": "0.5", "--xi": "0.5", "--x": "3/2", "--nmax": "5"},
+    ),
+    "pairings": (["pairings"], {"--n": "2", "--t": "1.0"}),
+    "gelfand": (["gelfand", "--g", "1,2;3,4"], {"--n": "2", "--z": "1,0"}),
+    "whittaker": (["whittaker"], {"--k": "1.0", "--m": "0.5,0", "--x": "2.0"}),
+    "kernel scalar": (["kernel", "scalar"], {"--z": "0.3,0.4", "--x": "1.0", "--y": "2.0"}),
+    "kernel matrix": (["kernel", "matrix"], {"--z": "0.3,0.4", "--x": "1.0", "--y": "2.0"}),
+    "corr": (["corr"], {"--z": "0.3,0.4", "--u": "1.0"}),
+    "verify-limit": (
+        ["verify-limit"],
+        {"--z": "0.3,0.4", "--u": "1.0", "--xi": "0.5", "--nmax": "5"},
+    ),
+}
+_BAD = ("nan", "inf", "-inf", "", "abc", "-1", "1e400", "0")
+
+
+@st.composite
+def _fuzzed_argv(draw):
+    command = draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
+    head, numeric = _FUZZ_COMMANDS[command]
+    bad = draw(st.dictionaries(st.sampled_from(sorted(numeric)), st.sampled_from(_BAD), min_size=1))
+    # "--opt=value", so that values such as "-inf" are not read as options
+    return head + [f"{opt}={bad.get(opt, value)}" for opt, value in numeric.items()]
+
+
+@settings(max_examples=120, deadline=None)
+@given(_fuzzed_argv())
+@example(["partitions", "--n=3", "--theta=0.5", "--max-rows=-1"])
+def test_fuzzed_numeric_arguments_keep_exit_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 2, 3), (argv, code, err.getvalue())
+    if code != 0:
+        assert out.getvalue() == "", argv

@@ -2,13 +2,15 @@ from fractions import Fraction
 
 import pytest
 
+from zmeasures import correlations
 from zmeasures.correlations import (
     continuum_correlation,
     lattice_point_for,
     verify_limit,
 )
 from zmeasures.errors import DomainError, ParameterError, ResourceCapError
-from zmeasures.kernels import KernelParams, S_partials
+from zmeasures.kernels import KernelContext, KernelParams, S_partials, scalar_whittaker_kernel
+from zmeasures.measures import ZParams, schur_correlation
 
 
 def test_lattice_point_examples():
@@ -97,3 +99,33 @@ def test_verify_limit_validation():
     with pytest.raises(DomainError):
         # 0.6 and 0.61 collide on the lattice at xi = 0.5
         verify_limit([0.6, 0.61], 0.5, ["0.5"], n_max=10)
+
+
+def test_verify_limit_refuses_bad_ladder_before_continuum(monkeypatch):
+    def no_continuum(points, z):
+        raise AssertionError("continuum evaluated for a ladder that is refused")
+
+    monkeypatch.setattr(correlations, "continuum_correlation", no_continuum)
+    for ladder in ([float("nan")], ["0.8", "abc"], [float("inf")], ["0.8", ""], ["0.8", "1.2"]):
+        with pytest.raises(ParameterError):
+            verify_limit([1.0], 0.3 + 0.4j, ladder, n_max=10)
+    with pytest.raises(ParameterError, match="u must be a finite number"):
+        verify_limit([float("nan")], 0.3 + 0.4j, ["0.8"], n_max=10)
+
+
+@pytest.mark.parametrize("z", [0.3 + 0.4j, 0.6 - 0.5j])
+def test_theta_one_scaling_limit(z):
+    # At theta = 1 the rescaled one-point function of ZParams(2z, 1, xi) at
+    # the half-integer x nearest 1/(1 - xi) tends to K(u, u), u = x (1 - xi),
+    # with a first-order error in 1 - xi.
+    params = KernelParams(z)
+    ctx = KernelContext(params)
+    ratios = {}
+    for xi in (0.98, 0.99, 0.995):
+        x = lattice_point_for(1, xi)
+        u = float(x) * (1 - xi)
+        k_uu = ctx.kernel(u, u)[0]
+        if not ratios:
+            assert k_uu == pytest.approx(scalar_whittaker_kernel(u, u, params), rel=1e-9)
+        ratios[xi] = schur_correlation([x], ZParams(2 * z, 1, xi)) / (1 - xi) / k_uu
+    assert all(abs(r - 1) <= 5 * (1 - xi) for xi, r in ratios.items()), ratios

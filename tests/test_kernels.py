@@ -1,9 +1,11 @@
 import math
 import time
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zmeasures import kernels, specfun
 from zmeasures.correlations import continuum_correlation
@@ -227,3 +229,40 @@ def test_context_points_near_domain_edge_finish(z):
     for u in (1e-3, 1.3e-3, 2e-3):
         assert math.isfinite(continuum_correlation([u], z))
     assert time.perf_counter() - t < 3.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.floats(-0.4, 0.4), min_size=1, max_size=6),
+    st.sampled_from([2, 59, 60]),
+    st.sampled_from([float, np.longdouble]),
+)
+def test_powers_match_exact_powers(taus, nterms, dtype):
+    # each entry within 4 n ulp of the correctly rounded tau^n
+    taus = [0.0, -0.4, 0.4, -0.123] + taus
+    pw = kernels._powers(np.array(taus), nterms, dtype)
+    assert pw.shape == (len(taus), nterms)
+    assert pw.dtype == np.float64
+    for tau, row in zip(taus, pw):
+        exact = Fraction(1)
+        for n, got in enumerate(row):
+            ref = float(exact)
+            assert abs(got - ref) <= 4 * n * math.ulp(ref), (tau, n, got, ref)
+            exact *= Fraction(tau)
+
+
+# continuum_correlation values, as float.hex, from the np.power tables that
+# preceded the running-product power tables
+_CONTINUUM_GOLDENS = [
+    ([1.0], 0.3 + 0.4j, "0x1.23363eb38cba4p-7"),
+    ([0.5, 2.0], 0.3 + 0.4j, "0x1.ceafb2e9002ddp-23"),
+    ([0.8], 0.9 - 1.3j, "0x1.004231564af24p-1"),
+    ([0.7, 1.9, 3.2], 0.9 - 1.3j, "0x1.de0917baaad24p-36"),
+    ([0.4], 2.0 + 0.5j, "0x1.56eeb2fb5ae50p-7"),
+    ([1.5, 2.5], 2.0 + 0.5j, "0x1.f25d67d137ab3p-50"),
+]
+
+
+@pytest.mark.parametrize("points, z, golden", _CONTINUUM_GOLDENS)
+def test_continuum_correlation_pinned_values(points, z, golden):
+    assert continuum_correlation(points, z) == pytest.approx(float.fromhex(golden), rel=1e-10)

@@ -134,3 +134,11 @@ def test_enumeration_sizes_consistent(n):
     for parts in iter_partition_tuples(n):
         assert sum(parts) == n
         assert list(parts) == sorted(parts, reverse=True)
+
+
+def test_enumeration_refuses_negative_row_and_column_caps():
+    # a negative max_rows would otherwise recurse without end
+    for caps in ({"max_rows": -1}, {"max_cols": -1}):
+        with pytest.raises(DomainError):
+            list(iter_partition_tuples(3, **caps))
+    assert list(iter_partition_tuples(3, max_rows=0)) == []
