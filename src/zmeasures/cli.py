@@ -9,24 +9,19 @@ CSV (default) or JSON via --format, to stdout or --out.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
-from fractions import Fraction
 
-from .correlations import (  # noqa: F401 (perfbench/tracing.py wraps cli.continuum_correlation)
-    continuum_correlation,
-    lattice_point_for,
-    verify_limit,
-)
-from .errors import DomainError, NumericalError, ParameterError, ZMeasuresError
+from .correlations import continuum_correlation  # noqa: F401 (perfbench/tracing.py wraps it here)
+from .correlations import verify_limit
+from .errors import DomainError, NumericalError, ZMeasuresError
 from .gelfand import (
     coset_type,
     from_cycles,
     spherical_restriction,
     zonal_spherical,
 )
-from .kernels import KernelParams, S, S_partials, matrix_kernel, scalar_whittaker_kernel
+from .kernels import KernelParams, matrix_kernel, scalar_whittaker_kernel
 from .measures import (
     ZParams,
     lattice_correlation,
@@ -34,8 +29,14 @@ from .measures import (
     negative_binomial_weight,
     z_measure,
 )
-from .pairings import Matching, cycle_count, enumerate_matchings, t_measure
-from .partitions import YoungDiagram, frobenius_coordinates, iter_partition_tuples
+from .pairings import cycle_count, enumerate_matchings, t_measure
+from .partitions import (
+    YoungDiagram,
+    _as_fraction,
+    frobenius_coordinates,
+    half_integer,
+    iter_partition_tuples,
+)
 from .pfaffian import assemble, pfaffian
 from .specfun import whittaker_W, whittaker_W_deriv
 
@@ -48,16 +49,6 @@ def _parse_complex(s: str) -> complex:
         return complex(float(s), 0.0)
     except ValueError as e:
         raise argparse.ArgumentTypeError(f"expected re,im — got {s!r}") from e
-
-
-def _parse_half_integer(s: str) -> Fraction:
-    try:
-        f = Fraction(s)
-    except (ValueError, ZeroDivisionError) as e:
-        raise argparse.ArgumentTypeError(f"expected a half-integer, got {s!r}") from e
-    if f.denominator != 2:
-        raise argparse.ArgumentTypeError(f"{s!r} is not a half-integer")
-    return f
 
 
 def _parse_float_list(s: str) -> list[float]:
@@ -90,10 +81,8 @@ def _add_common(sp: argparse.ArgumentParser):
 
 
 def _cmd_partitions(args) -> list[dict]:
-    try:
-        theta = Fraction(str(args.theta))
-    except ValueError:
-        raise ParameterError(f"theta must be finite, got {args.theta}") from None
+    # the decimal the user typed, so that 0.1 means exactly 1/10
+    theta = _as_fraction(str(args.theta))
     rows = []
     for parts in iter_partition_tuples(args.n, max_rows=args.max_rows):
         lam = YoungDiagram(parts)
@@ -136,11 +125,12 @@ def _cmd_mixed(args) -> list[dict]:
 
 
 def _cmd_lattice_corr(args) -> list[dict]:
+    xs = [half_integer(x) for x in args.x]
     p = ZParams(args.z, args.theta, args.xi)
-    rep = lattice_correlation(args.x, p, args.nmax)
+    rep = lattice_correlation(xs, p, args.nmax)
     return [
         {
-            "points": " ".join(str(x) for x in args.x),
+            "points": " ".join(str(x) for x in xs),
             "value": repr(rep.value),
             "truncation_bound": repr(rep.truncation_bound),
             "n_max_used": rep.n_max_used,
@@ -299,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--z", type=_parse_complex, required=True)
     sp.add_argument("--theta", type=float, default=0.5)
     sp.add_argument("--xi", type=float, required=True)
-    sp.add_argument("--x", type=_parse_half_integer, nargs="+", required=True)
+    sp.add_argument("--x", nargs="+", required=True)
     sp.add_argument("--nmax", type=int, default=60)
     _add_common(sp)
     sp.set_defaults(fn=_cmd_lattice_corr)

@@ -44,13 +44,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 from scipy import special as sp
 
 from .errors import DomainError, ParameterError, UnvalidatedDomainError, validate_z
+from .partitions import half_integer
 from .quadrature import adaptive_gauss_legendre
 from .specfun import (
     ASYMPTOTIC_X,
@@ -122,13 +122,6 @@ class KernelParams:
         return self.prefactor(-0.5) == 0.0 and self.prefactor(0.5) == 0.0
 
 
-def _validate_half_integer(a) -> float:
-    f = Fraction(a)
-    if f.denominator != 2:
-        raise DomainError(f"a must be a half-integer, got {a}")
-    return float(f)
-
-
 def _validate_x(x: float, what: str = "x") -> float:
     x = float(x)
     if not x > 0:
@@ -177,7 +170,7 @@ def _w_bundle(z: complex, a: float, x: float) -> tuple[float, float, float, floa
 
 def w_a(a, x: float, params: KernelParams) -> float:
     """w_a(x; -2z, -2 zbar): real by the conjugate-pair construction."""
-    a = _validate_half_integer(a)
+    a = float(half_integer(a))
     x = _validate_x(x)
     return _w0(complex(params.z), a, x)
 

@@ -33,6 +33,13 @@ products leave the float range inside one row, as a row of 171 or more
 cells does, has its hook term recomputed as a sum of logs instead, so
 sizes up to ``LATTICE_NMAX_CAP`` are evaluated correctly.
 
+The partition combinatorics come from ``partitions``: the scalar loop and
+the log-sum fallback read their hook arguments from ``hook_rows``, the
+walk its column shifts from ``column_shifts``, and lattice points are
+checked by ``half_integer``.  The Pochhammer zeros are read from the
+engine's row tables: they decide which diagrams vanish, and the rows and
+columns a stratum's walk may use (``_MeasureEngine.zero_cut``).
+
 At theta = 1 the mixed z-measure is a Schur measure, and
 ``schur_correlation`` computes its lattice correlations exactly as a
 determinant, as an independent check on the enumeration.
@@ -43,7 +50,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -53,7 +59,9 @@ from .partitions import (
     HALF,
     YoungDiagram,
     _as_fraction,
-    conjugate_parts,
+    column_shifts,
+    half_integer,
+    hook_rows,
     iter_partition_tuples,  # noqa: F401  (re-exported; callers look it up here)
 )
 
@@ -70,8 +78,7 @@ class ZParams:
 
     def __post_init__(self):
         validate_z(self.z)
-        if not (self.theta > 0 and math.isfinite(self.theta)):
-            raise ParameterError(f"theta must be positive and finite, got {self.theta}")
+        _as_fraction(self.theta)
         if not (0 <= self.xi < 1):
             raise ParameterError(f"xi must lie in [0, 1), got {self.xi}")
 
@@ -110,6 +117,7 @@ class _MeasureEngine:
         self._row_logs: list[list[float]] = []  # cumulative 2*log|factor|
         self._row_zero: list[int] = []  # first column count hitting a zero factor
         self._row_arrays = (np.zeros((0, 1)), np.zeros(0, dtype=np.int64))
+        self._cuts: dict[int, tuple[int, int]] = {}
 
     def _ensure_row(self, i: int, length: int):
         while len(self._row_logs) < i:
@@ -127,18 +135,23 @@ class _MeasureEngine:
             else:
                 row.append(row[-1] + 2.0 * math.log(af))
 
-    def first_column_zero_row(self, max_rows_scan: int) -> int | None:
-        """Smallest i with z - (i-1)theta = 0, scanned up to max_rows_scan."""
-        for i in range(1, max_rows_scan + 1):
-            if abs(self.z - (i - 1) * self.theta) < 1e-300:
-                return i
-        return None
-
-    def first_row_zero_col(self, max_cols_scan: int) -> int | None:
-        for j in range(1, max_cols_scan + 1):
-            if abs(self.z + (j - 1)) < 1e-300:
-                return j
-        return None
+    def zero_cut(self, n: int) -> tuple[int, int]:
+        """(rows, cols): the most rows and columns a diagram of n cells with
+        nonzero measure can have.  A zero first factor z - (i-1)theta of
+        row i kills every diagram with i rows, and a zero factor z + (j-1)
+        of row 1 every diagram whose first row reaches j cells; both are
+        read from the row tables, once per size."""
+        cut = self._cuts.get(n)
+        if cut is None:
+            self._ensure_row(1, n)
+            rows = 0
+            while rows < n:
+                self._ensure_row(rows + 1, 1)
+                if self._row_zero[rows] == 1:
+                    break
+                rows += 1
+            cut = self._cuts[n] = (rows, min(n, self._row_zero[0] - 1))
+        return cut
 
     def row_log_table(self, rows: int, width: int) -> tuple[np.ndarray, np.ndarray]:
         """The row tables as arrays covering at least ``rows`` rows and
@@ -174,21 +187,19 @@ class _MeasureEngine:
             if p >= self._row_zero[i]:
                 return 0.0
             num += log_row
-        conj = conjugate_parts(parts)
         # hook products as renormalized float products, row by row
         th = self.theta
         h = 1.0
         hp = 1.0
         hexp = 0.0
-        for i, p in enumerate(parts, start=1):
-            for arm, c in zip(range(p - 1, -1, -1), conj):
-                x = arm + (c - i) * th
+        for row in hook_rows(parts, th):
+            for x in row:
                 h *= x + 1.0
                 hp *= x + th
             if h > 1e250 or hp > 1e250 or hp < 1e-250:
                 if h == math.inf or hp == math.inf or hp == 0.0:
                     # left the float range inside a row
-                    hexp, h, hp = self.hook_log_sum(parts, conj), 1.0, 1.0
+                    hexp, h, hp = self.hook_log_sum(parts), 1.0, 1.0
                     break
                 hexp += math.log(h) + math.log(hp)
                 h = 1.0
@@ -197,16 +208,14 @@ class _MeasureEngine:
         logden += math.lgamma(self.a + n) - math.lgamma(self.a)
         return math.exp(math.lgamma(n + 1) + num - logden)
 
-    def hook_log_sum(self, parts: Sequence[int], conj: Sequence[int]) -> float:
+    def hook_log_sum(self, parts: Sequence[int]) -> float:
         """log H(lam) + log H'(lam) as a correctly rounded sum of the logs of
         the hook factors: the fallback for diagrams whose hook products
         overflow (or underflow) before a row ends, as a row of length
         n >= 171 does."""
         th = self.theta
         return math.fsum(
-            math.log(x + 1.0) + math.log(x + th)
-            for i, p in enumerate(parts, start=1)
-            for x in (arm + (c - i) * th for arm, c in zip(range(p - 1, -1, -1), conj))
+            math.log(x + 1.0) + math.log(x + th) for row in hook_rows(parts, th) for x in row
         )
 
 
@@ -276,20 +285,13 @@ def mixed_z_measure(lam: YoungDiagram, p: ZParams) -> float:
     return w * z_measure(lam, p)
 
 
-def _positive_coordinate_shifts(theta: Fraction, width: int) -> list[int]:
-    """shift[j-1] = ceil((j-1)/theta): rows excluded from column j of the
-    negative part."""
-    num, den = theta.numerator, theta.denominator
-    return [-(-(j * den) // num) for j in range(width)]
-
-
 def _validate_lattice_points(X: Iterable) -> list[int]:
     """Convert X in Z_{>=0}+1/2 to the integers b = x - 1/2."""
     bs = []
     seen = set()
     for x in X:
-        f = Fraction(x)
-        if f.denominator != 2 or f < HALF:
+        f = half_integer(x)
+        if f < HALF:
             raise DomainError(
                 f"lattice points must be half-integers >= 1/2, got {x}"
             )
@@ -485,17 +487,16 @@ def _stratum_measures(
     eng: _MeasureEngine,
     shifts: Sequence[int],
     target_bs: tuple[int, ...],
-    max_rows: int | None,
-    max_cols: int | None,
 ) -> tuple[np.ndarray, list[float]]:
     """Parts (zero-padded rows) and z-measures of the partitions of n with
     nonzero measure under ``eng`` whose positive coordinates contain all
-    target points, at most ``max_rows`` rows and at most ``max_cols``
-    columns, in reverse lexicographic order of parts.  ``shifts`` is
-    ``_positive_coordinate_shifts`` of theta, at least n long.
+    target points, in reverse lexicographic order of parts.  ``shifts`` is
+    ``column_shifts`` of theta, at least n long.
 
-    The walk's column heights are gathered into chunks of ``_CHUNK_CELLS // n``
-    diagrams, and each chunk is evaluated by ``_chunk_measures``."""
+    The walk never builds a diagram with more rows or columns than
+    ``eng.zero_cut(n)`` allows.  Its column heights are gathered into
+    chunks of ``_CHUNK_CELLS // n`` diagrams, and each chunk is evaluated
+    by ``_chunk_measures``."""
     if n > LATTICE_NMAX_CAP:
         raise ResourceCapError(
             f"partition enumeration capped at n <= {LATTICE_NMAX_CAP}, got {n}"
@@ -520,14 +521,7 @@ def _stratum_measures(
             if len(widths) == chunk:
                 flush()
 
-    _walk_columns(
-        n,
-        shifts,
-        target_bs,
-        n if max_rows is None else min(n, max_rows),
-        n if max_cols is None else min(n, max_cols),
-        visit,
-    )
+    _walk_columns(n, shifts, target_bs, *eng.zero_cut(n), visit)
     if widths:
         flush()
     if not done:
@@ -545,12 +539,10 @@ def _stratum_terms(
     eng: _MeasureEngine,
     shifts: Sequence[int],
     target_bs: tuple[int, ...],
-    max_rows: int | None,
-    max_cols: int | None,
 ) -> list[tuple[tuple[int, ...], float]]:
     """(parts, measure) for each diagram ``_stratum_measures`` returns, in
     its order."""
-    parts, m = _stratum_measures(n, eng, shifts, target_bs, max_rows, max_cols)
+    parts, m = _stratum_measures(n, eng, shifts, target_bs)
     return [(tuple(int(v) for v in row if v), mv) for row, mv in zip(parts, m)]
 
 
@@ -559,12 +551,10 @@ def _stratum_sum(
     eng: _MeasureEngine,
     shifts: Sequence[int],
     target_bs: tuple[int, ...],
-    max_rows: int | None,
-    max_cols: int | None,
 ) -> tuple[float, int]:
     """Sum of z-measures over partitions of n whose positive coordinates
     contain all target points.  Returns (sum, matching diagram count)."""
-    _, m = _stratum_measures(n, eng, shifts, target_bs, max_rows, max_cols)
+    _, m = _stratum_measures(n, eng, shifts, target_bs)
     total = 0.0
     for v in m:
         total += v
@@ -604,16 +594,12 @@ def lattice_correlation(
     if 0 in target_bs:
         return CorrelationReport(value=0.0, truncation_bound=bound, n_max_used=n_max, terms_summed=0)
     eng = _engine(p.z, float(p.theta))
-    shifts = _positive_coordinate_shifts(_as_fraction(p.theta), n_max)
-    zero_row = eng.first_column_zero_row(n_max + 1)
-    zero_col = eng.first_row_zero_col(n_max + 1)
-    max_rows = None if zero_row is None else zero_row - 1
-    max_cols = None if zero_col is None else zero_col - 1
+    shifts = column_shifts(p.theta, n_max)
 
     value = 0.0
     terms = 0
     for n in range(1, n_max + 1):
-        s, c = _stratum_sum(n, eng, shifts, target_bs, max_rows, max_cols)
+        s, c = _stratum_sum(n, eng, shifts, target_bs)
         if s:
             value += negative_binomial_weight(n, p) * s
         terms += c

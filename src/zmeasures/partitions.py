@@ -4,14 +4,23 @@ Diagrams are weakly decreasing tuples of positive integers.  The theta
 deformation enters through the content (j-1) - theta*(i-1) of a box,
 through the two hook products H and H', and through the half-integer
 lattice coordinates obtained by splitting a diagram at the zero-content
-diagonal.  Sign comparisons against zero are done in exact rational
-arithmetic so the positive/negative split of boxes never depends on
-floating point.
+diagonal.  This module is the one partition core of the package; every
+other module reads these from here:
+
+- ``hook_rows``: the hook arguments x = arm + leg*theta, row by row, in
+  float.  ``hook_products`` and both scalar evaluators of the z-measure
+  consume it, so they round alike.
+- ``column_shifts`` and ``frobenius_coordinates``: the coordinates
+  (A|B)_theta, with a_i = lam_i - 1 - floor(theta (i-1)) and
+  b_j = lam'_j - ceil((j-1)/theta), in integer arithmetic on the
+  numerator and denominator of theta, so the split of the boxes never
+  depends on floating point.
+- ``half_integer``: the check of a lattice point, a point of Z + 1/2.
+- ``_as_fraction``: the check of theta, a positive finite rational.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
@@ -24,12 +33,27 @@ DEFAULT_ENUMERATION_CAP = 100
 
 
 def _as_fraction(theta) -> Fraction:
-    if isinstance(theta, Fraction):
-        f = theta
-    else:
-        f = Fraction(theta)
+    """theta as an exact rational; ParameterError unless it is a finite
+    positive number (or a string naming one)."""
+    try:
+        f = theta if isinstance(theta, Fraction) else Fraction(theta)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise ParameterError(f"theta must be a positive finite number, got {theta!r}") from None
     if f <= 0:
         raise ParameterError(f"theta must be positive, got {theta}")
+    return f
+
+
+def half_integer(x) -> Fraction:
+    """x as an exact point of Z + 1/2, from a Fraction, a number or a string
+    such as "3/2" or "1.5"; DomainError when x is malformed, not finite or
+    not a half-integer."""
+    try:
+        f = x if isinstance(x, Fraction) else Fraction(x)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        f = None
+    if f is None or f.denominator != 2:
+        raise DomainError(f"expected a half-integer, got {x!r}")
     return f
 
 
@@ -91,6 +115,7 @@ class LatticeConfig:
     ``positives`` the b_j + 1/2 (weakly decreasing, all > 0).  Repeats
     can occur away from theta = 1 (e.g. (3,3) at theta = 1/2), so the
     entries form a multiset; containment queries read it as a set.
+    Entries are checked and stored by ``half_integer``, as Fractions.
     """
 
     negatives: tuple[Fraction, ...]
@@ -98,9 +123,8 @@ class LatticeConfig:
     theta: Fraction = field(default=HALF)
 
     def __post_init__(self):
-        for v in self.negatives + self.positives:
-            if v.denominator != 2:
-                raise DomainError(f"lattice entries must be half-integers, got {v}")
+        object.__setattr__(self, "negatives", tuple(map(half_integer, self.negatives)))
+        object.__setattr__(self, "positives", tuple(map(half_integer, self.positives)))
         if any(v >= 0 for v in self.negatives) or any(v <= 0 for v in self.positives):
             raise DomainError("negatives must be < 0 < positives")
         # stored in the paper's order: (-a_1-1/2, ..., ; b_1+1/2, ...),
@@ -168,6 +192,16 @@ def theta_content(box: tuple[int, int], theta) -> float:
     return float((j - 1) - th * (i - 1))
 
 
+def hook_rows(parts, theta: float) -> Iterator[list[float]]:
+    """Row by row, the hook arguments x = arm + leg*theta of the boxes of the
+    diagram ``parts``, left to right, in float.  Box (i, j) contributes the
+    factor x + 1 to H and x + theta to H'.  Every scalar evaluation of the
+    hook products consumes these, so all of them round alike."""
+    conj = conjugate_parts(parts)
+    for i, p in enumerate(parts, start=1):
+        yield [arm + (c - i) * theta for arm, c in zip(range(p - 1, -1, -1), conj)]
+
+
 def hook_products(lam: YoungDiagram, theta) -> tuple[float, float]:
     """The pair (H, H') of theta-deformed hook products.
 
@@ -175,18 +209,12 @@ def hook_products(lam: YoungDiagram, theta) -> tuple[float, float]:
     trailing +theta.  Empty diagram gives (1, 1).
     """
     th = float(_as_fraction(theta))
-    parts = lam.parts
-    if not parts:
-        return (1.0, 1.0)
-    conj = lam.transpose().parts
     h = 1.0
     hp = 1.0
-    for i, p in enumerate(parts, start=1):
-        for j in range(1, p + 1):
-            arm = p - j
-            leg = conj[j - 1] - i
-            h *= arm + leg * th + 1.0
-            hp *= arm + leg * th + th
+    for row in hook_rows(lam.parts, th):
+        for x in row:
+            h *= x + 1.0
+            hp *= x + th
     return (h, hp)
 
 
@@ -209,46 +237,34 @@ def generalized_pochhammer(z: complex, lam: YoungDiagram, theta) -> complex:
     return out
 
 
+def column_shifts(theta, width: int) -> list[int]:
+    """shift[j-1] = ceil((j-1)/theta) for the columns j = 1..``width``: the
+    boxes of positive content at the top of column j, so that a column of
+    height c has b_j = c - shift[j-1] boxes in the negative part."""
+    th = _as_fraction(theta)
+    num, den = th.numerator, th.denominator
+    return [-(-(j * den) // num) for j in range(width)]
+
+
 def frobenius_coordinates(lam: YoungDiagram, theta) -> LatticeConfig:
     """Theta-dependent Frobenius-type coordinates (A|B)_theta.
 
-    Boxes with nonpositive theta-content form the negative part; the
-    a_i are the row lengths of the positive part and the b_j the column
-    lengths of the negative part.  The split is decided in exact
-    rational arithmetic.
+    Boxes of positive theta-content form the row part and the others, the
+    zero-content diagonal among them, the column part:
+
+        a_i = lam_i - 1 - floor(theta (i-1)),   b_j = lam'_j - ceil((j-1)/theta),
+
+    each kept while positive (both decrease weakly).  The negatives are
+    the -a_i - 1/2 and the positives the b_j + 1/2, so 1/2 is never a
+    positive coordinate.  Integer arithmetic throughout.
     """
     th = _as_fraction(theta)
-    parts = lam.parts
-    if not parts:
-        return LatticeConfig((), (), th)
-    # row i of the positive part: boxes with (j-1) > theta*(i-1)
-    a = []
-    for i, p in enumerate(parts, start=1):
-        # number of j in 1..p with (j-1) > th*(i-1)
-        thresh = th * (i - 1)  # exclude j-1 <= thresh
-        # smallest positive content column index: j-1 = floor(thresh)+1
-        j_min = int(thresh) + 2 if thresh == int(thresh) else math.floor(thresh) + 2
-        count = p - (j_min - 1)
-        if count > 0:
-            a.append(count)
-        else:
-            break
-    # column j of the negative part: boxes with (j-1) <= theta*(i-1),
-    # i.e. i-1 >= (j-1)/theta
-    conj = lam.transpose().parts
-    b = []
-    for j, q in enumerate(conj, start=1):
-        ratio = Fraction(j - 1, 1) / th
-        i_min = int(ratio) + 1 if ratio == int(ratio) else math.floor(ratio) + 2
-        count = q - (i_min - 1)
-        if count > 0:
-            b.append(count)
-        else:
-            break
-    negatives = tuple(-Fraction(ai) - HALF for ai in a)
-    positives = tuple(Fraction(bj) + HALF for bj in b)
-    return LatticeConfig(negatives, positives, th)
-
-
-def transpose(lam: YoungDiagram) -> YoungDiagram:
-    return lam.transpose()
+    num, den = th.numerator, th.denominator
+    conj = conjugate_parts(lam.parts)
+    a = [p - 1 - i * num // den for i, p in enumerate(lam.parts)]
+    b = [c - s for c, s in zip(conj, column_shifts(th, len(conj)))]
+    return LatticeConfig(
+        tuple(-ai - HALF for ai in a if ai > 0),
+        tuple(bj + HALF for bj in b if bj > 0),
+        th,
+    )

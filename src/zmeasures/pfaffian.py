@@ -8,6 +8,7 @@ oracle for small matrices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -132,10 +133,10 @@ def assemble(
     repairing them.
     """
     xs = [float(x) for x in points]
+    if not all(0 < x < math.inf for x in xs):
+        raise DomainError(f"points must be positive and finite, got {xs}")
     if len(set(xs)) != len(xs):
         raise DomainError(f"points must be distinct, got {xs}")
-    if any(x <= 0 for x in xs):
-        raise DomainError(f"points must be positive, got {xs}")
     if isinstance(kernel, KernelContext):
         block = kernel.block
     else:

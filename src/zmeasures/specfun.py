@@ -31,7 +31,6 @@ import math
 from functools import lru_cache
 
 import mpmath as mp
-import numpy as np
 from scipy import special as sp
 
 from .errors import DomainError, NumericalError, PoleError, UnvalidatedDomainError

@@ -233,6 +233,28 @@ def test_verify_limit_bad_ladder_or_u_exit_2(capsys, argv, where):
     assert captured.err.startswith(f"error: {where} must be a finite number")
 
 
+def test_corr_non_finite_point_names_the_points(capsys):
+    assert run(["corr", "--z", "0.3,0.4", "--u", "1.0,nan"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: points must be positive and finite, got [1.0, nan]\n"
+
+
+@pytest.mark.parametrize("x", ["1/3", "abc", "nan", "inf", "1/0"])
+def test_lattice_corr_malformed_point_exit_2(capsys, x):
+    argv = ["lattice-corr", "--z", "0.5,0", "--xi", "0.5", "--x", "3/2", x, "--nmax", "5"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: expected a half-integer")
+
+
+def test_lattice_corr_prints_exact_points(capsys):
+    code, out = capture(capsys, ["lattice-corr", "--z", "0.5,0", "--xi", "0.5", "--x", "1.5", "--nmax", "5"])
+    assert code == 0
+    assert out.splitlines()[1].startswith("3/2,")
+
+
 def test_unwritable_out_exit_2(tmp_path, capsys):
     dest = tmp_path / "missing" / "x.csv"
     assert run(["zmeasure", "--z", "1,0", "--n", "2", "--out", str(dest)]) == 2

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -129,3 +130,9 @@ def test_theta_one_scaling_limit(z):
             assert k_uu == pytest.approx(scalar_whittaker_kernel(u, u, params), rel=1e-9)
         ratios[xi] = schur_correlation([x], ZParams(2 * z, 1, xi)) / (1 - xi) / k_uu
     assert all(abs(r - 1) <= 5 * (1 - xi) for xi, r in ratios.items()), ratios
+
+
+def test_continuum_correlation_refuses_non_finite_points():
+    for pts in ([math.nan], [1.0, math.inf]):
+        with pytest.raises(DomainError, match="points must be positive and finite"):
+            continuum_correlation(pts, 0.3 + 0.4j)

@@ -10,7 +10,6 @@ from zmeasures.measures import (
     CorrelationReport,
     ZParams,
     _engine,
-    _positive_coordinate_shifts,
     _stratum_terms,
     lattice_correlation,
     mixed_z_measure,
@@ -20,7 +19,12 @@ from zmeasures.measures import (
     z_measure,
     z_measure_symmetry_check,
 )
-from zmeasures.partitions import YoungDiagram, frobenius_coordinates, iter_partition_tuples
+from zmeasures.partitions import (
+    YoungDiagram,
+    column_shifts,
+    frobenius_coordinates,
+    iter_partition_tuples,
+)
 
 Z_GRID = (0.5, 1.0, 1 + 1j, 0.3 + 0.7j)
 
@@ -259,8 +263,8 @@ def _reference_measure(parts, z, theta):
 def test_enumerator_measures_bit_identical(z, theta):
     p = ZParams(z, theta)
     for n in range(1, 13):
-        shifts = _positive_coordinate_shifts(Fraction(theta), n)
-        terms = _stratum_terms(n, _engine(p.z, theta), shifts, (), None, None)
+        shifts = column_shifts(Fraction(theta), n)
+        terms = _stratum_terms(n, _engine(p.z, theta), shifts, ())
         # every diagram of nonzero measure, in the order iter_partition_tuples
         # yields, each with the measure z_measure and the reference loop give
         expected = [
@@ -357,11 +361,30 @@ def _reference_stratum_sum(n, p, bs, max_rows, max_cols):
     return total, count
 
 
-def _stratum_cuts(p):
-    eng = _engine(p.z, float(p.theta))
-    zero_row = eng.first_column_zero_row(40)
-    zero_col = eng.first_row_zero_col(40)
-    return eng, (None if zero_row is None else zero_row - 1), (None if zero_col is None else zero_col - 1)
+def _zero_cuts(p, scan=40):
+    """(max_rows, max_cols) from the definition: a zero factor
+    z - (i-1) theta caps the rows at i - 1, a zero factor z + (j-1) the
+    columns at j - 1; None where no factor up to ``scan`` vanishes."""
+    z, th = complex(p.z), float(p.theta)
+    zero_row = next((i for i in range(1, scan + 1) if abs(z - (i - 1) * th) < 1e-300), None)
+    zero_col = next((j for j in range(1, scan + 1) if abs(z + (j - 1)) < 1e-300), None)
+    return (None if zero_row is None else zero_row - 1), (None if zero_col is None else zero_col - 1)
+
+
+@pytest.mark.parametrize(
+    "z, theta",
+    [(1.5, 0.5), (2.5, 0.5), (0.5, 0.5), (-2.0, 0.5), (-2.0, Fraction(1, 3)), (4.0, 2.0),
+     (-3.0, 1.0), (0.3 + 0.7j, 0.5), (1 + 1j, 2.0)],
+)
+def test_zero_cut_matches_direct_scan(z, theta):
+    # a fresh engine, asked in both directions, so no size relies on another
+    eng = measures._MeasureEngine(z, float(theta))
+    for n in list(range(30, 0, -1)) + list(range(1, 31)):
+        max_rows, max_cols = _zero_cuts(ZParams(z, theta), scan=n)
+        assert eng.zero_cut(n) == (
+            n if max_rows is None else max_rows,
+            n if max_cols is None else max_cols,
+        ), n
 
 
 @settings(max_examples=60, deadline=None)
@@ -371,12 +394,13 @@ def test_stratum_sum_bit_identical(case, n, per_chunk):
     p, X, _ = case
     bs = tuple(int(x - Fraction(1, 2)) for x in X)
     assume(0 not in bs)
-    eng, max_rows, max_cols = _stratum_cuts(p)
-    shifts = _positive_coordinate_shifts(Fraction(p.theta), n)
+    eng = _engine(p.z, float(p.theta))
+    max_rows, max_cols = _zero_cuts(p)
+    shifts = column_shifts(Fraction(p.theta), n)
     saved = measures._CHUNK_CELLS
     measures._CHUNK_CELLS = per_chunk * n
     try:
-        got = measures._stratum_sum(n, eng, shifts, bs, max_rows, max_cols)
+        got = measures._stratum_sum(n, eng, shifts, bs)
     finally:
         measures._CHUNK_CELLS = saved
     total, count = _reference_stratum_sum(n, p, bs, max_rows, max_cols)
@@ -389,7 +413,7 @@ def test_stratum_sum_bit_identical_across_default_chunks():
     n = 24
     bs = (1,)
     eng = _engine(p.z, 0.5)
-    got = measures._stratum_sum(n, eng, _positive_coordinate_shifts(Fraction(1, 2), n), bs, None, None)
+    got = measures._stratum_sum(n, eng, column_shifts(Fraction(1, 2), n), bs)
     total, count = _reference_stratum_sum(n, p, bs, None, None)
     assert count > measures._CHUNK_CELLS // n
     assert got[0].hex() == total.hex()
@@ -429,8 +453,8 @@ def test_batch_renormalises_like_the_scalar_loop(z, theta, n):
     # z = 2 theta: at most two rows; a long first row renormalises the hook
     # products (H at theta = 1/2, H' at theta = 2 and 3) before the second starts
     p = ZParams(z, theta)
-    shifts = _positive_coordinate_shifts(Fraction(theta), n)
-    terms = _stratum_terms(n, _engine(p.z, theta), shifts, (), 2, None)
+    shifts = column_shifts(Fraction(theta), n)
+    terms = _stratum_terms(n, _engine(p.z, theta), shifts, ())
     assert [parts for parts, _ in terms] == list(iter_partition_tuples(n, max_rows=2, cap=n))
     for parts, m in terms:
         assert m == _reference_measure(parts, complex(z), theta)

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from zmeasures.errors import DomainError, ResourceCapError
+from zmeasures.errors import DomainError, ParameterError, ResourceCapError
+from zmeasures.kernels import KernelParams, w_a
+from zmeasures.measures import ZParams, _MeasureEngine, lattice_correlation, schur_correlation
 from zmeasures.partitions import (
     HALF,
     LatticeConfig,
@@ -12,6 +14,7 @@ from zmeasures.partitions import (
     enumerate_partitions,
     frobenius_coordinates,
     generalized_pochhammer,
+    half_integer,
     hook_products,
     iter_partition_tuples,
     theta_content,
@@ -142,3 +145,95 @@ def test_enumeration_refuses_negative_row_and_column_caps():
         with pytest.raises(DomainError):
             list(iter_partition_tuples(3, **caps))
     assert list(iter_partition_tuples(3, max_rows=0)) == []
+
+
+ORACLE_THETAS = (Fraction(1, 3), HALF, Fraction(1), Fraction(3, 2), Fraction(2), Fraction(7, 3))
+
+
+def _content(i, j, theta):
+    return (j - 1) - theta * (i - 1)
+
+
+def _frobenius_oracle(parts, theta):
+    """(A|B)_theta box by box: a_i counts the boxes of row i with positive
+    content, b_j the boxes of column j with content <= 0."""
+    width = parts[0] if parts else 0
+    a = [sum(_content(i, j, theta) > 0 for j in range(1, p + 1)) for i, p in enumerate(parts, 1)]
+    b = [
+        sum(p >= j and _content(i, j, theta) <= 0 for i, p in enumerate(parts, 1))
+        for j in range(1, width + 1)
+    ]
+    return tuple(-ai - HALF for ai in a if ai), tuple(bj + HALF for bj in b if bj)
+
+
+def test_frobenius_coordinates_match_box_by_box_oracle():
+    for n in range(15):
+        for parts in iter_partition_tuples(n):
+            for th in ORACLE_THETAS:
+                cfg = frobenius_coordinates(YoungDiagram(parts), th)
+                assert (cfg.negatives, cfg.positives) == _frobenius_oracle(parts, th), (parts, th)
+                assert HALF not in cfg.positives
+
+
+def _exact_hook_products(parts, theta):
+    """H and H' as exact rationals, from arm and leg counted box by box."""
+    h = hp = Fraction(1)
+    for i, p in enumerate(parts, 1):
+        for j in range(1, p + 1):
+            arm = p - j
+            leg = sum(q >= j for q in parts[i:])
+            h *= arm + leg * theta + 1
+            hp *= arm + leg * theta + theta
+    return h, hp
+
+
+def _log(f: Fraction) -> float:
+    return math.log(f.numerator) - math.log(f.denominator)
+
+
+@pytest.mark.parametrize("theta", ORACLE_THETAS)
+def test_hook_products_match_exact_definition(theta):
+    eng = _MeasureEngine(1.0, float(theta))
+    for n in range(11):
+        for parts in iter_partition_tuples(n):
+            h, hp = hook_products(YoungDiagram(parts), theta)
+            eh, ehp = _exact_hook_products(parts, theta)
+            assert math.isclose(h, eh, rel_tol=1e-13), (parts, theta)
+            assert math.isclose(hp, ehp, rel_tol=1e-13), (parts, theta)
+            assert math.isclose(eng.hook_log_sum(parts), _log(eh) + _log(ehp), rel_tol=1e-13, abs_tol=1e-13)
+
+
+def test_half_integer():
+    for x in (Fraction(3, 2), "3/2", "1.5", 1.5, -0.5, " 7/2"):
+        assert half_integer(x) in (Fraction(3, 2), Fraction(-1, 2), Fraction(7, 2))
+    for x in ("1/3", "1/0", "", "abc", "nan", "inf", None, 1, math.nan, math.inf, Fraction(1, 4)):
+        with pytest.raises(DomainError):
+            half_integer(x)
+
+
+def test_lattice_config_stores_exact_half_integers():
+    cfg = LatticeConfig((-1.5,), ("5/2",))
+    assert cfg.points() == (Fraction(-3, 2), Fraction(5, 2))
+
+
+_P = ZParams(0.5, 0.5, 0.5)
+_MALFORMED = {
+    "lattice nan": (lambda: lattice_correlation([math.nan], _P, 5), DomainError),
+    "lattice abc": (lambda: lattice_correlation(["abc"], _P, 5), DomainError),
+    "lattice inf": (lambda: lattice_correlation([math.inf], _P, 5), DomainError),
+    "schur nan": (lambda: schur_correlation([math.nan], ZParams(0.5, 1.0, 0.3)), DomainError),
+    "w_a nan": (lambda: w_a(math.nan, 1.0, KernelParams(0.3 + 0.4j)), DomainError),
+    "frobenius inf": (lambda: frobenius_coordinates(YoungDiagram((2, 1)), math.inf), ParameterError),
+    "content nan": (lambda: theta_content((1, 1), math.nan), ParameterError),
+    "hooks nan": (lambda: hook_products(YoungDiagram((2, 1)), math.nan), ParameterError),
+    "config nan": (lambda: LatticeConfig((math.nan,), ()), DomainError),
+    "config abc": (lambda: LatticeConfig((), ("abc",)), DomainError),
+    "zparams theta abc": (lambda: ZParams(0.5, "abc"), ParameterError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED))
+def test_malformed_points_and_theta_are_refused(name):
+    call, error = _MALFORMED[name]
+    with pytest.raises(error):
+        call()

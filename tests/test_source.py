@@ -1,0 +1,69 @@
+"""Source hygiene checks that need no linter: unused imports in the
+package, and the names the benchmark's tracer wraps."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "zmeasures").glob("*.py"))
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names bound by an import and never read in the module, except on a
+    line marked ``# noqa``; names listed in ``__all__`` count as read."""
+    text = path.read_text()
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if "# noqa" not in lines[alias.lineno - 1]:
+                    bound[alias.asname or alias.name.split(".")[0]] = alias.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read |= set(ast.literal_eval(node.value))
+    return [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in read]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert _unused_imports(path) == []
+
+
+def test_unused_import_check_finds_one(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("import os\nimport sys  # noqa\nfrom math import pi, tau\nprint(tau)\n")
+    assert _unused_imports(src) == ["m.py:1 os", "m.py:3 pi"]
+
+
+def _traced_names() -> list[tuple[str, str]]:
+    """The (module, name) pairs of CALLS and GENERATORS in perfbench/tracing.py."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    pairs = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id in ("CALLS", "GENERATORS") for t in node.targets
+        ):
+            pairs += [(module, name) for module, name, _ in ast.literal_eval(node.value)]
+    return pairs
+
+
+def test_traced_names_resolve():
+    pairs = _traced_names()
+    assert ("cli", "continuum_correlation") in pairs
+    assert ("measures", "iter_partition_tuples") in pairs
+    missing = [
+        f"zmeasures.{module}.{name}"
+        for module, name in pairs
+        if not hasattr(importlib.import_module(f"zmeasures.{module}"), name)
+    ]
+    assert missing == []
