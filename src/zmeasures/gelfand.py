@@ -36,13 +36,6 @@ def compose(a: Perm, b: Perm) -> Perm:
     return tuple(a[x] for x in b)
 
 
-def inverse(a: Perm) -> Perm:
-    out = [0] * len(a)
-    for i, x in enumerate(a):
-        out[x] = i
-    return tuple(out)
-
-
 def from_cycles(size: int, cycles: Iterable[tuple[int, ...]]) -> Perm:
     """Permutation from 1-based disjoint cycles."""
     img = list(range(size))
@@ -84,26 +77,10 @@ class SignedPermutationDomainMap:
     1-based labels {1..2n}: -i <-> 2i-1 and i <-> 2i."""
 
     @staticmethod
-    def to_label(symbol: int) -> int:
-        if symbol == 0:
-            raise DomainError("0 is not a signed symbol")
-        return 2 * symbol if symbol > 0 else -2 * symbol - 1
-
-    @staticmethod
     def to_symbol(label: int) -> int:
         if label < 1:
             raise DomainError(f"labels are 1-based, got {label}")
         return label // 2 if label % 2 == 0 else -(label + 1) // 2
-
-    @classmethod
-    def signed_to_perm(cls, g: dict[int, int], n: int) -> Perm:
-        """Signed-symbol bijection to a 0-indexed permutation of {0..2n-1}."""
-        img = [0] * (2 * n)
-        for s, v in g.items():
-            img[cls.to_label(s) - 1] = cls.to_label(v) - 1
-        if sorted(img) != list(range(2 * n)):
-            raise DomainError("g is not a bijection of the signed symbols")
-        return tuple(img)
 
     @classmethod
     def perm_to_signed(cls, g: Perm) -> dict[int, int]:

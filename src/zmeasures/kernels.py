@@ -21,19 +21,21 @@ limits); S_y differentiates under the integral sign.  Semi-infinite tails
 are truncated at T inside the validated Whittaker domain with an
 exponential-envelope bound carried in the reported error estimate.
 
-Two routes compute the blocks with the same adaptive quadrature, tail
-bound and S formulas:
+One block pipeline (``_BlockPipeline``) owns, per z, the edge integrals
+A, B and the kernel integrals, and turns them into blocks by the S formulas
+with one adaptive quadrature and one tail bound.  Two sources of W feed it:
 
-* ``matrix_kernel`` (with ``S``, ``S_partials``, ``w_a`` and
-  ``scalar_whittaker_kernel``) evaluates every w_a(s) through
-  ``specfun.whittaker_W`` (mpmath below x = 40) and takes K and dK/dy from
+* ``_MpmathKernel`` evaluates every w_a(s) through ``specfun.whittaker_W``
+  (mpmath below x = 40), one node at a time, and takes K and dK/dy from
   third-order Taylor expansions for |s - y| < 1e-6 max(1, y), quotients
-  elsewhere.  It is the test oracle, and the CLI ``kernel`` and ``corr``
-  commands print its values.
-* ``KernelContext`` builds, once per z, Taylor tables of W_{k,m} on
-  [1e-3, 200] for the two index pairs, seeded from ``whittaker_W`` and
-  ``whittaker_W_deriv`` at x = 200, and takes K and dK/dy from series
-  re-centred at y for |s - y| <= min(y/2, 4).
+  elsewhere.  ``matrix_kernel``, ``S``, ``S_partials``, ``w_a`` and
+  ``scalar_whittaker_kernel`` read from it, through ``_mpmath_kernel``,
+  which keeps the objects of the two most recent z.  It is the test
+  oracle, and the CLI ``kernel`` and ``corr`` commands print its values.
+* ``KernelContext`` builds Taylor tables of W_{k,m} on [1e-3, 200] for the
+  two index pairs, seeded from ``whittaker_W`` and ``whittaker_W_deriv``
+  at x = 200, evaluates them on arrays of nodes, and takes K and dK/dy
+  from series re-centred at y for |s - y| <= min(y/2, 4).
   ``correlations.continuum_correlation`` and ``verify_limit`` assemble
   through it.  Every power table tau^n it sums against is a running
   product along n (``_powers``), not ``np.power``: in float at each
@@ -66,6 +68,9 @@ KERNEL_X_MIN = 1e-3
 KERNEL_X_MAX = 190.0
 _DIAG_EPS_SCALE = 1e-6
 _QUAD_ABS_FLOOR = 1e-20
+# relative accuracy of the table integrands: K and dK/dy near the window edge
+# lose up to two digits to cancellation in w_-(s) w_+(y) - w_+(s) w_-(y)
+_TABLE_REL_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -133,174 +138,8 @@ def _validate_x(x: float, what: str = "x") -> float:
     return x
 
 
-@lru_cache(maxsize=500_000)
-def _w0(z: complex, a: float, x: float) -> float:
-    """w_a(x) for the conjugate-pair parameters derived from z."""
-    p = KernelParams(z)
-    pref = p.prefactor(a)
-    if pref == 0.0:
-        return 0.0
-    return pref * x ** (-0.5) * whittaker_W(p.whittaker_k(a), p.whittaker_m, x)
-
-
-@lru_cache(maxsize=50_000)
-def _w_bundle(z: complex, a: float, x: float) -> tuple[float, float, float, float]:
-    """(w_a, w_a', w_a'', w_a''') at x, by the product rule on
-    x^{-1/2} W_{k,m}(x) with W-derivatives from the Whittaker equation."""
-    p = KernelParams(z)
-    pref = p.prefactor(a)
-    if pref == 0.0:
-        return (0.0, 0.0, 0.0, 0.0)
-    k, m = p.whittaker_k(a), p.whittaker_m
-    W0 = whittaker_W(k, m, x)
-    W1 = whittaker_W_deriv(k, m, x)
-    W2 = whittaker_W_second(k, m, x)
-    W3 = whittaker_W_third(k, m, x)
-    f0 = x**-0.5
-    f1 = -0.5 * x**-1.5
-    f2 = 0.75 * x**-2.5
-    f3 = -1.875 * x**-3.5
-    return (
-        pref * f0 * W0,
-        pref * (f1 * W0 + f0 * W1),
-        pref * (f2 * W0 + 2.0 * f1 * W1 + f0 * W2),
-        pref * (f3 * W0 + 3.0 * f2 * W1 + 3.0 * f1 * W2 + f0 * W3),
-    )
-
-
-def w_a(a, x: float, params: KernelParams) -> float:
-    """w_a(x; -2z, -2 zbar): real by the conjugate-pair construction."""
-    a = float(half_integer(a))
-    x = _validate_x(x)
-    return _w0(complex(params.z), a, x)
-
-
-class _Scalar:
-    """Scalar kernel K(s, y) and dK/dy at fixed y, with the removable
-    diagonal singularity handled by Taylor expansion."""
-
-    def __init__(self, params: KernelParams, y: float):
-        self.params = params
-        self.y = y
-        self.eps = _DIAG_EPS_SCALE * max(1.0, y)
-        z = complex(params.z)
-        self.wm = _w_bundle(z, -0.5, y)
-        self.wp = _w_bundle(z, 0.5, y)
-        self.z = z
-
-    def _values(self, s: float) -> tuple[float, float]:
-        z = self.z
-        return _w0(z, -0.5, s), _w0(z, 0.5, s)
-
-    def kernel(self, s: float) -> float:
-        C = self.params.big_c
-        wm, wp = self.wm, self.wp
-        d = s - self.y
-        if abs(d) >= self.eps:
-            wms, wps = self._values(s)
-            return C * (wms * wp[0] - wps * wm[0]) / d
-        w10 = wm[1] * wp[0] - wp[1] * wm[0]
-        w20 = wm[2] * wp[0] - wp[2] * wm[0]
-        w30 = wm[3] * wp[0] - wp[3] * wm[0]
-        return C * (w10 + 0.5 * d * w20 + d * d * w30 / 6.0)
-
-    def kernel_dy(self, s: float) -> float:
-        C = self.params.big_c
-        wm, wp = self.wm, self.wp
-        d = s - self.y
-        if abs(d) >= self.eps:
-            wms, wps = self._values(s)
-            num_y = wms * wp[1] - wps * wm[1]
-            num = wms * wp[0] - wps * wm[0]
-            return C * (num_y / d + num / (d * d))
-        w20 = wm[2] * wp[0] - wp[2] * wm[0]
-        w30 = wm[3] * wp[0] - wp[3] * wm[0]
-        w21 = wm[2] * wp[1] - wp[2] * wm[1]
-        return C * (0.5 * w20 + d * (w30 / 6.0 + 0.5 * w21))
-
-
-def scalar_whittaker_kernel(x: float, y: float, params: KernelParams) -> float:
-    """K(x,y) at the conjugate pair (-2z, -2 zbar); symmetric and real."""
-    x = _validate_x(x)
-    y = _validate_x(y, "y")
-    return _Scalar(params, y).kernel(x)
-
-
 def _tail_T(lo: float) -> float:
     return min(max(lo, ASYMPTOTIC_X) + 100.0, min(X_MAX, 200.0))
-
-
-def _integrate_from(
-    f, lo: float, T: float, tol: float, inner_breaks=(), table: bool = False
-) -> tuple[float, float]:
-    """int_lo^T f(s) ds with a sqrt substitution near a small lower
-    endpoint and the asymptotic-switch point as a forced panel edge.
-    A ``table`` integrand (from KernelContext) maps an array of nodes to an
-    array of values and is accurate to _TABLE_REL_FLOOR, not to rounding."""
-    quad = {"vectorized": True, "rel_floor": _TABLE_REL_FLOOR} if table else {}
-    if T <= lo:
-        return 0.0, 0.0
-    breaks = set(b for b in inner_breaks if lo < b < T)
-    breaks.add(ASYMPTOTIC_X)
-    total = 0.0
-    err = 0.0
-    start = lo
-    if lo < 1.0:
-        b = min(1.0, T)
-        u_hi = math.sqrt(b - lo)
-        u_breaks = [math.sqrt(p - lo) for p in breaks if p < b]
-        v, e = adaptive_gauss_legendre(
-            lambda u: 2.0 * u * f(lo + u * u),
-            0.0,
-            u_hi,
-            tol,
-            u_breaks,
-            abs_floor=_QUAD_ABS_FLOOR,
-            **quad,
-        )
-        total += v
-        err += e
-        start = b
-    if T > start:
-        v, e = adaptive_gauss_legendre(
-            f,
-            start,
-            T,
-            tol,
-            sorted(b for b in breaks if start < b < T),
-            abs_floor=_QUAD_ABS_FLOOR,
-            **quad,
-        )
-        total += v
-        err += e
-    # exponential-envelope tail bound beyond T
-    f_T = float(f(np.array([T]))[0]) if table else f(T)
-    err += 4.0 * abs(f_T)
-    return total, err
-
-
-@lru_cache(maxsize=20_000)
-def _edge_integral(z: complex, tol: float, a: float, lo: float) -> tuple[float, float]:
-    """int_lo^inf w_a(s) ds/sqrt(s) with its error estimate."""
-    T = _tail_T(lo)
-    return _integrate_from(
-        lambda s: _w0(z, a, s) / math.sqrt(s), lo, T, tol
-    )
-
-
-@lru_cache(maxsize=20_000)
-def _kernel_integrals(z: complex, tol: float, x: float, y: float) -> tuple[float, float, float]:
-    """(I0, I1, err): int_x^inf K(s,y)/sqrt(s) ds and the same with dK/dy."""
-    params = KernelParams(z, tol)
-    sc = _Scalar(params, y)
-    T = _tail_T(max(x, y))
-    i0, e0 = _integrate_from(
-        lambda s: sc.kernel(s) / math.sqrt(s), x, T, tol, inner_breaks=(y,)
-    )
-    i1, e1 = _integrate_from(
-        lambda s: sc.kernel_dy(s) / math.sqrt(s), x, T, tol, inner_breaks=(y,)
-    )
-    return i0, i1, e0 + e1
 
 
 @dataclass(frozen=True)
@@ -318,79 +157,255 @@ class MatrixKernelValue:
         return np.array([[self.s, self.s_y], [self.s_x, self.s_xy]])
 
 
-def _s_block(
-    params: KernelParams,
-    x: float,
-    y: float,
-    i0: float,
-    i1: float,
-    a_x: float,
-    b_y: float,
-    k_xy: float,
-    ky_xy: float,
-    wm_x: float,
-    wp_y: float,
-    err: float,
-) -> MatrixKernelValue:
-    """[[S, S_y], [S_x, S_xy]] at (x, y) from the kernel integrals
-    i0 = int_x^inf K(s,y) ds/sqrt(s) and i1 (the same with dK/dy), the edge
-    integrals A(x), B(y), and K, dK/dy, w_-(x), w_+(y)."""
-    # the rank-one term carries |sqrt(z1 z2)|/4 = |z|/2: the magnitude that
-    # makes S antisymmetric (verified numerically across z).  The overall
-    # sign corresponds to the branch sqrt(z1 z2) = -2|z|; it is fixed by
-    # positivity of the one-point function, cross-checked against rescaled
-    # lattice correlation probabilities.
-    c4 = params.big_c / 4.0
-    sx, sy = math.sqrt(x), math.sqrt(y)
-
-    s_val = 0.5 * sy * i0 - c4 * a_x * b_y
-    s_x = -0.5 * sy * k_xy / sx + c4 * (wm_x / sx) * b_y
-    s_y = i0 / (4.0 * sy) + 0.5 * sy * i1 + c4 * a_x * wp_y / sy
-    s_xy = -(
-        k_xy / (4.0 * sy * sx)
-        + 0.5 * sy * ky_xy / sx
-        + c4 * (wm_x / sx) * (wp_y / sy)
-    )
-    return MatrixKernelValue(s=s_val, s_y=s_y, s_x=s_x, s_xy=s_xy, error=err)
+_HALF_INTEGERS = (-0.5, 0.5)
 
 
-def _full(params: KernelParams, x: float, y: float) -> MatrixKernelValue:
-    z = complex(params.z)
-    if params.identically_zero:
-        return MatrixKernelValue(0.0, 0.0, 0.0, 0.0, 0.0)
-    tol = params.tol
-    i0, i1, e_i = _kernel_integrals(z, tol, x, y)
-    a_x, e_a = _edge_integral(z, tol, -0.5, x)
-    b_y, e_b = _edge_integral(z, tol, 0.5, y)
-    sc = _Scalar(params, y)
-    k_xy = sc.kernel(x)
-    ky_xy = sc.kernel_dy(x)
-    wm_x = _w0(z, -0.5, x)
-    wp_y = sc.wp[0]
-    err = e_i + e_a + e_b
-    return _s_block(params, x, y, i0, i1, a_x, b_y, k_xy, ky_xy, wm_x, wp_y, err)
+class _BlockPipeline:
+    """The 2x2 kernel blocks at one z, from a subclass's source of W.
+
+    A source supplies w_a(s) for a = (-1/2, +1/2)[p] (``_wa``), K(s, y) or
+    dK/dy on quadrature nodes (``_kernels``), the inner panel edges of the
+    kernel integrals at y (``_breaks``) and (K, dK/dy, w_-(x), w_+(y)) at
+    one point (``_point``); ``_VECTORIZED`` says whether its integrands map
+    an array of nodes to an array of values.  The pipeline keeps the edge
+    and kernel integrals of its z and turns them into blocks by the S
+    formulas.
+    """
+
+    _VECTORIZED = False
+
+    def __init__(self, params: KernelParams):
+        self.params = params
+        self.zero = params.identically_zero
+        self._edges: dict[tuple[int, float], tuple[float, float]] = {}
+        self._integrals: dict[tuple[float, float], tuple[float, float, float]] = {}
+
+    def _integrate(self, f, lo: float, T: float, inner_breaks=()) -> tuple[float, float]:
+        """int_lo^T f(s) ds with a sqrt substitution near a small lower
+        endpoint and the asymptotic-switch point as a forced panel edge.
+        A vectorized integrand is accurate to _TABLE_REL_FLOOR, not to
+        rounding."""
+        vec = self._VECTORIZED
+        quad = {"vectorized": True, "rel_floor": _TABLE_REL_FLOOR} if vec else {}
+        if T <= lo:
+            return 0.0, 0.0
+        tol = self.params.tol
+        breaks = set(b for b in inner_breaks if lo < b < T)
+        breaks.add(ASYMPTOTIC_X)
+        total = 0.0
+        err = 0.0
+        start = lo
+        if lo < 1.0:
+            b = min(1.0, T)
+            u_hi = math.sqrt(b - lo)
+            u_breaks = [math.sqrt(p - lo) for p in breaks if p < b]
+            v, e = adaptive_gauss_legendre(
+                lambda u: 2.0 * u * f(lo + u * u),
+                0.0,
+                u_hi,
+                tol,
+                u_breaks,
+                abs_floor=_QUAD_ABS_FLOOR,
+                **quad,
+            )
+            total += v
+            err += e
+            start = b
+        if T > start:
+            v, e = adaptive_gauss_legendre(
+                f,
+                start,
+                T,
+                tol,
+                sorted(b for b in breaks if start < b < T),
+                abs_floor=_QUAD_ABS_FLOOR,
+                **quad,
+            )
+            total += v
+            err += e
+        # exponential-envelope tail bound beyond T
+        f_T = float(f(np.array([T]))[0]) if vec else f(T)
+        err += 4.0 * abs(f_T)
+        return total, err
+
+    def _edge(self, p: int, lo: float) -> tuple[float, float]:
+        """int_lo^inf w_a(s) ds/sqrt(s), a = (-1/2, +1/2)[p], with its error."""
+        key = (p, lo)
+        if key not in self._edges:
+            self._edges[key] = self._integrate(
+                lambda s: self._wa(p, s) / np.sqrt(s), lo, _tail_T(lo)
+            )
+        return self._edges[key]
+
+    def _kernel_integrals(self, x: float, y: float) -> tuple[float, float, float]:
+        """(I0, I1, err): int_x^inf K(s,y)/sqrt(s) ds and the same with dK/dy."""
+        key = (x, y)
+        if key not in self._integrals:
+            T = _tail_T(max(x, y))
+            breaks = self._breaks(y)
+            i0, e0 = self._integrate(
+                lambda s: self._kernels(s, y, False) / np.sqrt(s), x, T, breaks
+            )
+            i1, e1 = self._integrate(
+                lambda s: self._kernels(s, y, True) / np.sqrt(s), x, T, breaks
+            )
+            self._integrals[key] = (i0, i1, e0 + e1)
+        return self._integrals[key]
+
+    def kernel(self, x: float, y: float) -> tuple[float, float]:
+        """(K(x, y), dK/dy(x, y))."""
+        x = _validate_x(x)
+        y = _validate_x(y, "y")
+        if self.zero:
+            return 0.0, 0.0
+        return self._point(x, y)[:2]
+
+    def block(self, x: float, y: float) -> MatrixKernelValue:
+        """The 2x2 kernel block [[S, S_y], [S_x, S_xy]] at (x, y)."""
+        x = _validate_x(x)
+        y = _validate_x(y, "y")
+        if self.zero:
+            return MatrixKernelValue(0.0, 0.0, 0.0, 0.0, 0.0)
+        i0, i1, e_i = self._kernel_integrals(x, y)
+        a_x, e_a = self._edge(0, x)
+        b_y, e_b = self._edge(1, y)
+        k_xy, ky_xy, wm_x, wp_y = self._point(x, y)
+        # the rank-one term carries |sqrt(z1 z2)|/4 = |z|/2: the magnitude that
+        # makes S antisymmetric (verified numerically across z).  The overall
+        # sign corresponds to the branch sqrt(z1 z2) = -2|z|; it is fixed by
+        # positivity of the one-point function, cross-checked against rescaled
+        # lattice correlation probabilities.
+        c4 = self.params.big_c / 4.0
+        sx, sy = math.sqrt(x), math.sqrt(y)
+        return MatrixKernelValue(
+            s=0.5 * sy * i0 - c4 * a_x * b_y,
+            s_y=i0 / (4.0 * sy) + 0.5 * sy * i1 + c4 * a_x * wp_y / sy,
+            s_x=-0.5 * sy * k_xy / sx + c4 * (wm_x / sx) * b_y,
+            s_xy=-(
+                k_xy / (4.0 * sy * sx)
+                + 0.5 * sy * ky_xy / sx
+                + c4 * (wm_x / sx) * (wp_y / sy)
+            ),
+            error=e_i + e_a + e_b,
+        )
+
+
+class _MpmathKernel(_BlockPipeline):
+    """The blocks at one z with every w_a(s) from ``specfun.whittaker_W``
+    (mpmath below x = 40), one node at a time.  K and dK/dy come from
+    third-order Taylor expansions for |s - y| < 1e-6 max(1, y), quotients
+    elsewhere."""
+
+    def __init__(self, params: KernelParams):
+        super().__init__(params)
+        self._prefs = {a: params.prefactor(a) for a in _HALF_INTEGERS}
+        self._derivs: dict[float, tuple[tuple[float, ...], ...]] = {}
+
+    def w(self, a: float, x: float) -> float:
+        """w_a(x) for any half-integer a."""
+        if a not in self._prefs:
+            self._prefs[a] = self.params.prefactor(a)
+        pref = self._prefs[a]
+        if pref == 0.0:
+            return 0.0
+        p = self.params
+        return pref * x ** (-0.5) * whittaker_W(p.whittaker_k(a), p.whittaker_m, x)
+
+    def _wa(self, p: int, s: float) -> float:
+        return self.w(_HALF_INTEGERS[p], s)
+
+    def _at(self, y: float) -> tuple[tuple[float, ...], ...]:
+        """w_a and its first three derivatives at y, for a = -1/2 and +1/2,
+        by the product rule on y^{-1/2} W_{k,m}(y) with W-derivatives from
+        the Whittaker equation."""
+        if y not in self._derivs:
+            f0 = y**-0.5
+            f1 = -0.5 * y**-1.5
+            f2 = 0.75 * y**-2.5
+            f3 = -1.875 * y**-3.5
+            m = self.params.whittaker_m
+            rows = []
+            for a in _HALF_INTEGERS:
+                pref = self._prefs[a]
+                if pref == 0.0:
+                    rows.append((0.0, 0.0, 0.0, 0.0))
+                    continue
+                k = self.params.whittaker_k(a)
+                W0 = whittaker_W(k, m, y)
+                W1 = whittaker_W_deriv(k, m, y)
+                W2 = whittaker_W_second(k, m, y)
+                W3 = whittaker_W_third(k, m, y)
+                rows.append((
+                    pref * f0 * W0,
+                    pref * (f1 * W0 + f0 * W1),
+                    pref * (f2 * W0 + 2.0 * f1 * W1 + f0 * W2),
+                    pref * (f3 * W0 + 3.0 * f2 * W1 + 3.0 * f1 * W2 + f0 * W3),
+                ))
+            self._derivs[y] = tuple(rows)
+        return self._derivs[y]
+
+    def _kernels(self, s: float, y: float, dy: bool) -> float:
+        """K(s, y), or dK/dy when ``dy``, at one node s."""
+        C = self.params.big_c
+        wm, wp = self._at(y)
+        d = s - y
+        if abs(d) >= _DIAG_EPS_SCALE * max(1.0, y):
+            wms, wps = self._wa(0, s), self._wa(1, s)
+            num = wms * wp[0] - wps * wm[0]
+            if not dy:
+                return C * num / d
+            num_y = wms * wp[1] - wps * wm[1]
+            return C * (num_y / d + num / (d * d))
+        w20 = wm[2] * wp[0] - wp[2] * wm[0]
+        w30 = wm[3] * wp[0] - wp[3] * wm[0]
+        if not dy:
+            w10 = wm[1] * wp[0] - wp[1] * wm[0]
+            return C * (w10 + 0.5 * d * w20 + d * d * w30 / 6.0)
+        w21 = wm[2] * wp[1] - wp[2] * wm[1]
+        return C * (0.5 * w20 + d * (w30 / 6.0 + 0.5 * w21))
+
+    def _breaks(self, y: float) -> tuple[float, ...]:
+        return (y,)
+
+    def _point(self, x: float, y: float) -> tuple[float, float, float, float]:
+        return (
+            self._kernels(x, y, False),
+            self._kernels(x, y, True),
+            self._wa(0, x),
+            self._at(y)[1][0],
+        )
+
+
+# the mpmath route at the two most recent z, like ``measures._engine``
+_mpmath_kernel = lru_cache(maxsize=2)(_MpmathKernel)
+
+
+def w_a(a, x: float, params: KernelParams) -> float:
+    """w_a(x; -2z, -2 zbar): real by the conjugate-pair construction."""
+    a = float(half_integer(a))
+    x = _validate_x(x)
+    return _mpmath_kernel(params).w(a, x)
+
+
+def scalar_whittaker_kernel(x: float, y: float, params: KernelParams) -> float:
+    """K(x,y) at the conjugate pair (-2z, -2 zbar); symmetric and real."""
+    return _mpmath_kernel(params).kernel(x, y)[0]
 
 
 def S(x: float, y: float, params: KernelParams) -> float:
     """The antisymmetric function S(x, y)."""
-    x = _validate_x(x)
-    y = _validate_x(y, "y")
-    return _full(params, x, y).s
+    return _mpmath_kernel(params).block(x, y).s
 
 
 def S_partials(x: float, y: float, params: KernelParams) -> tuple[float, float, float]:
     """(S_x, S_y, S_xy) at (x, y), by analytic differentiation."""
-    x = _validate_x(x)
-    y = _validate_x(y, "y")
-    v = _full(params, x, y)
+    v = _mpmath_kernel(params).block(x, y)
     return v.s_x, v.s_y, v.s_xy
 
 
 def matrix_kernel(x: float, y: float, params: KernelParams) -> MatrixKernelValue:
     """The 2x2 kernel block [[S, S_y], [S_x, S_xy]] at (x, y)."""
-    x = _validate_x(x)
-    y = _validate_x(y, "y")
-    return _full(params, x, y)
+    return _mpmath_kernel(params).block(x, y)
 
 
 # Taylor tables of the context: centres step inward from X_MAX by
@@ -398,10 +413,6 @@ def matrix_kernel(x: float, y: float, params: KernelParams) -> MatrixKernelValue
 _TAYLOR_TERMS = 60
 _STEP_FRAC = 0.4
 _STEP_MAX = 4.0
-# relative accuracy of the table integrands: K and dK/dy near the window edge
-# lose up to two digits to cancellation in w_-(s) w_+(y) - w_+(s) w_-(y)
-_TABLE_REL_FLOOR = 1e-12
-_HALF_INTEGERS = (-0.5, 0.5)
 
 
 def _taylor_basis(centres, ks, m2: float, nterms: int = _TAYLOR_TERMS) -> np.ndarray:
@@ -460,7 +471,7 @@ class _DiagonalSeries:
     dwp: float
 
 
-class KernelContext:
+class KernelContext(_BlockPipeline):
     """The 2x2 kernel blocks at one z, from Taylor tables of W_{k,m}.
 
     For the two index pairs k = -2 Re z -+ 1/2, m = -2i Im z (so m^2 is
@@ -478,17 +489,15 @@ class KernelContext:
 
     Near the diagonal, |s - y| <= min(y/2, 4), K(s, y) and dK/dy are summed
     from the series of w_-+ re-centred at y, in which the 1/(s - y) cancels
-    term by term; outside that window they are the plain quotients.  The
-    blocks use the same adaptive quadrature, tail bound and S formulas as
-    ``matrix_kernel``, on integrands evaluated on arrays of nodes.
+    term by term; outside that window they are the plain quotients.  Its
+    integrands take arrays of nodes.
     """
 
+    _VECTORIZED = True
+
     def __init__(self, params: KernelParams):
-        self.params = params
-        self.zero = params.identically_zero
+        super().__init__(params)
         self._series_cache: dict[float, _DiagonalSeries] = {}
-        self._edges: dict[tuple[int, float], tuple[float, float]] = {}
-        self._integrals: dict[tuple[float, float], tuple[float, float, float]] = {}
         if self.zero:
             return
         self._ks = np.array([params.whittaker_k(a) for a in _HALF_INTEGERS])
@@ -605,55 +614,18 @@ class KernelContext:
                 out[far] = self.params.big_c * num / df
         return out
 
-    def _edge(self, p: int, lo: float) -> tuple[float, float]:
-        """int_lo^inf w_a(s) ds/sqrt(s), a = (-1/2, +1/2)[p], with its error."""
-        key = (p, lo)
-        if key not in self._edges:
-            self._edges[key] = _integrate_from(
-                lambda s: self._w(s)[p] / np.sqrt(s),
-                lo, _tail_T(lo), self.params.tol, table=True,
-            )
-        return self._edges[key]
+    def _wa(self, p: int, s: np.ndarray) -> np.ndarray:
+        return self._w(s)[p]
 
-    def _kernel_integrals(self, x: float, y: float) -> tuple[float, float, float]:
-        key = (x, y)
-        if key not in self._integrals:
-            win = self._series(y).window
-            T = _tail_T(max(x, y))
-            tol = self.params.tol
-            breaks = (y - win, y + win)
-            i0, e0 = _integrate_from(
-                lambda s: self._kernels(s, y, False) / np.sqrt(s),
-                x, T, tol, breaks, table=True,
-            )
-            i1, e1 = _integrate_from(
-                lambda s: self._kernels(s, y, True) / np.sqrt(s),
-                x, T, tol, breaks, table=True,
-            )
-            self._integrals[key] = (i0, i1, e0 + e1)
-        return self._integrals[key]
+    def _breaks(self, y: float) -> tuple[float, float]:
+        win = self._series(y).window
+        return (y - win, y + win)
 
-    def kernel(self, x: float, y: float) -> tuple[float, float]:
-        """(K(x, y), dK/dy(x, y)) from the tables."""
-        x = _validate_x(x)
-        y = _validate_x(y, "y")
-        if self.zero:
-            return 0.0, 0.0
+    def _point(self, x: float, y: float) -> tuple[float, float, float, float]:
         s = np.array([x])
-        return float(self._kernels(s, y, False)[0]), float(self._kernels(s, y, True)[0])
-
-    def block(self, x: float, y: float) -> MatrixKernelValue:
-        """The 2x2 kernel block [[S, S_y], [S_x, S_xy]] at (x, y); agrees
-        with ``matrix_kernel`` to the quadrature tolerance."""
-        x = _validate_x(x)
-        y = _validate_x(y, "y")
-        if self.zero:
-            return MatrixKernelValue(0.0, 0.0, 0.0, 0.0, 0.0)
-        i0, i1, e_i = self._kernel_integrals(x, y)
-        a_x, e_a = self._edge(0, x)
-        b_y, e_b = self._edge(1, y)
-        k_xy, ky_xy = self.kernel(x, y)
-        wm_x = float(self._w(np.array([x]))[0, 0])
-        wp_y = self._series(y).wp
-        err = e_i + e_a + e_b
-        return _s_block(self.params, x, y, i0, i1, a_x, b_y, k_xy, ky_xy, wm_x, wp_y, err)
+        return (
+            float(self._kernels(s, y, False)[0]),
+            float(self._kernels(s, y, True)[0]),
+            float(self._wa(0, s)[0]),
+            self._series(y).wp,
+        )

@@ -90,16 +90,6 @@ class YoungDiagram:
     def rows(self) -> int:
         return len(self.parts)
 
-    def boxes(self) -> Iterator[tuple[int, int]]:
-        """All boxes (i, j), 1-based."""
-        for i, p in enumerate(self.parts, start=1):
-            for j in range(1, p + 1):
-                yield (i, j)
-
-    def contains(self, box: tuple[int, int]) -> bool:
-        i, j = box
-        return 1 <= i <= len(self.parts) and 1 <= j <= self.parts[i - 1]
-
     def transpose(self) -> "YoungDiagram":
         return YoungDiagram(tuple(conjugate_parts(self.parts)))
 

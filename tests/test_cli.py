@@ -308,3 +308,36 @@ def test_fuzzed_numeric_arguments_keep_exit_contract(argv):
     assert code in (0, 2, 3), (argv, code, err.getvalue())
     if code != 0:
         assert out.getvalue() == "", argv
+
+
+# --g cycles and --lam parts: small integers, some out of range, repeated or
+# negative, mixed with malformed tokens
+_INT_TOKENS = st.one_of(st.integers(-1, 9).map(str), st.sampled_from(_BAD + ("1.5", "a", " 2")))
+_POINT_TOKENS = ("1/2", "3/2", "5/2", "1.5", "7/2", "-1/2", "0", "1/3", "abc", "nan", "inf", "1/0", "")
+
+
+@st.composite
+def _fuzzed_list_argv(draw):
+    if draw(st.booleans()):
+        cycles = draw(st.lists(st.lists(_INT_TOKENS, max_size=4).map(",".join), max_size=4))
+        argv = ["gelfand", f"--n={draw(st.sampled_from(['1', '2', '3']))}", f"--g={';'.join(cycles)}"]
+        if draw(st.booleans()):
+            argv.append("--z=1,0")
+        lam = draw(st.none() | st.lists(_INT_TOKENS, max_size=4).map(",".join))
+        return argv if lam is None else argv + [f"--lam={lam}"]
+    points = draw(st.lists(st.sampled_from(_POINT_TOKENS), min_size=2, max_size=4))
+    theta = draw(st.sampled_from(["0.5", "1"]))
+    return ["lattice-corr", "--z=0.5,0", f"--theta={theta}", "--xi=0.5", "--nmax=5", "--x", *points]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fuzzed_list_argv())
+@example(["gelfand", "--n=2", "--g=1,2;2,3", "--lam=2,1"])
+@example(["lattice-corr", "--z=0.5,0", "--xi=0.5", "--nmax=5", "--x", "3/2", "3/2"])
+def test_fuzzed_list_arguments_keep_exit_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 2, 3), (argv, code, err.getvalue())
+    if code != 0:
+        assert out.getvalue() == "", argv

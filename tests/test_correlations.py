@@ -132,6 +132,31 @@ def test_theta_one_scaling_limit(z):
     assert all(abs(r - 1) <= 5 * (1 - xi) for xi, r in ratios.items()), ratios
 
 
+def _neville_at_zero(hs, values):
+    """Value at h = 0 of the polynomial through (hs[i], values[i])."""
+    p = list(values)
+    for k in range(1, len(hs)):
+        for i in range(len(hs) - k):
+            p[i] = (hs[i + k] * p[i] - hs[i] * p[i + 1]) / (hs[i + k] - hs[i])
+    return p[0]
+
+
+@pytest.mark.parametrize("z", [0.3 + 0.4j, 0.6 - 0.5j, 1 + 0.2j])
+def test_theta_one_scaling_limit_extrapolated(z):
+    # On the exact rungs x = 25/2, ..., 201/2 with xi = 1 - 1/x, so that
+    # u = x (1 - xi) = 1, the rescaled theta = 1 one-point function over K(1, 1)
+    # is extrapolated to h = 1/x -> 0 by a cubic through all four rungs.
+    k11 = KernelContext(KernelParams(z)).kernel(1.0, 1.0)[0]
+    xs = [Fraction(25, 2), Fraction(51, 2), Fraction(101, 2), Fraction(201, 2)]
+    ratios = []
+    for x in xs:
+        xi = float(1 - 1 / x)
+        ratios.append(schur_correlation([x], ZParams(2 * z, 1, xi)) / (1 - xi) / k11)
+    cubic = _neville_at_zero([float(1 / x) for x in xs], ratios)
+    assert abs(cubic - 1) <= 1e-2, (cubic, ratios)
+    assert abs(cubic - 1) <= abs(ratios[-1] - 1) / 10, (cubic, ratios)
+
+
 def test_continuum_correlation_refuses_non_finite_points():
     for pts in ([math.nan], [1.0, math.inf]):
         with pytest.raises(DomainError, match="points must be positive and finite"):

@@ -147,21 +147,25 @@ def test_entries_finite_and_error_reported():
     assert v.error < 1e-7
 
 
+def test_mpmath_kernel_cache_is_bounded():
+    # per-z objects of the mpmath route are evicted as z changes, without
+    # changing values
+    first = scalar_whittaker_kernel(1.0, 2.0, P_COMPLEX)
+    for z in (0.3, 0.9 - 1.3j, 2.0 + 0.5j):
+        scalar_whittaker_kernel(1.0, 2.0, KernelParams(z))
+    assert kernels._mpmath_kernel.cache_info().currsize == 2
+    assert scalar_whittaker_kernel(1.0, 2.0, P_COMPLEX) == first
+
+
 @pytest.fixture
 def mpmath_everywhere(monkeypatch):
     """whittaker_W through mpmath for every x in the kernel range, not the
     Poincare series above ASYMPTOTIC_X; the tables keep their seeds at
-    x = 200 from the series.  The value caches of the mpmath route are
-    swapped for empty ones for the test, so no value of either route leaks
-    into another test."""
-    for mod, name in (
-        (specfun, "_direct"),
-        (kernels, "_w0"),
-        (kernels, "_w_bundle"),
-        (kernels, "_edge_integral"),
-        (kernels, "_kernel_integrals"),
-    ):
-        monkeypatch.setattr(mod, name, lru_cache(maxsize=None)(getattr(mod, name).__wrapped__))
+    x = 200 from the series.  The Whittaker value cache and the per-z objects
+    of the mpmath route are swapped for empty ones for the test, so no value
+    of either route leaks into another test."""
+    monkeypatch.setattr(specfun, "_direct", lru_cache(maxsize=None)(specfun._direct.__wrapped__))
+    monkeypatch.setattr(kernels, "_mpmath_kernel", lru_cache(maxsize=2)(kernels._MpmathKernel))
     monkeypatch.setattr(specfun, "ASYMPTOTIC_X", kernels.KERNEL_X_MAX)
 
 
@@ -266,3 +270,139 @@ _CONTINUUM_GOLDENS = [
 @pytest.mark.parametrize("points, z, golden", _CONTINUUM_GOLDENS)
 def test_continuum_correlation_pinned_values(points, z, golden):
     assert continuum_correlation(points, z) == pytest.approx(float.fromhex(golden), rel=1e-10)
+
+
+# repr of every public kernel value at three z and four (x, y), recorded before
+# the mpmath route and the tables shared one block pipeline.  Per point:
+# matrix_kernel (s, s_y, s_x, s_xy, error), S, S_partials (s_x, s_y, s_xy),
+# scalar_whittaker_kernel, w_a at a = -1/2 and 3/2, KernelContext.block (five
+# fields) and KernelContext.kernel (K, dK/dy).  repr pins the np.float64-vs-float
+# type that the CLI prints as well as the value.
+_ROUTE_ZS = (0.3 + 0.4j, 0.9 - 1.3j, 1.5)
+_ROUTE_POINTS = ((1.0, 2.0), (0.6, 0.6), (0.601, 0.6), (2.3, 1.2))
+_ROUTE_GOLDENS = {
+    (0.3 + 0.4j, 1.0, 2.0): (
+        "np.float64(0.002356835009721155)", "np.float64(-0.00036785229026203587)",
+        "np.float64(-0.005923980219378912)", "0.003376710012686591",
+        "np.float64(3.2867998175463502e-12)", "np.float64(0.002356835009721155)",
+        "np.float64(-0.005923980219378912)", "np.float64(-0.00036785229026203587)",
+        "0.003376710012686591", "0.015310853246876605",
+        "0.45270458405080644", "0.09258820033556828",
+        "0.002356835009721208", "-0.00036785229026191704",
+        "-0.005923980219379067", "0.0033767100126866735",
+        "5.216989158221151e-13", "0.015310853246877011",
+        "-0.015929488349508913",
+    ),
+    (0.3 + 0.4j, 0.6, 0.6): (
+        "np.float64(7.632783294297951e-17)", "np.float64(0.03730009182356391)",
+        "np.float64(-0.03730009181755605)", "5.551115123125783e-17",
+        "np.float64(1.1442981783308669e-11)", "np.float64(7.632783294297951e-17)",
+        "np.float64(-0.03730009181755605)", "np.float64(0.03730009182356391)",
+        "5.551115123125783e-17", "0.1715876999653964",
+        "0.5838310698661886", "0.19020203085670995",
+        "-3.469446951953614e-17", "0.03730009181755688",
+        "-0.037300091817557085", "-0.0",
+        "2.9704464586590687e-13", "0.17158769996540107",
+        "-0.3035562924584778",
+    ),
+    (0.3 + 0.4j, 0.601, 0.6): (
+        "np.float64(-3.7222301234714206e-05)", "np.float64(0.03730003201313698)",
+        "np.float64(-0.03714462407985543)", "-0.00011949025279366088",
+        "np.float64(2.987434733628475e-13)", "np.float64(-3.7222301234714206e-05)",
+        "np.float64(-0.03714462407985543)", "np.float64(0.03730003201313698)",
+        "-0.00011949025279366088", "0.1712845191313704",
+        "0.5835052424194748", "0.18982089274122704",
+        "-3.722230123483217e-05", "0.037300032013125796",
+        "-0.03714462407986489", "-0.00011949026130379792",
+        "2.970116861198633e-13", "0.171284519131392",
+        "-0.3029748523713475",
+    ),
+    (0.3 + 0.4j, 2.3, 1.2): (
+        "np.float64(-0.001387251243223264)", "np.float64(0.0031880568489012365)",
+        "np.float64(0.000243749257241045)", "-0.0017451325487328204",
+        "np.float64(4.017370031249268e-12)", "np.float64(-0.001387251243223264)",
+        "np.float64(0.000243749257241045)", "np.float64(0.0031880568489012365)",
+        "-0.0017451325487328204", "0.008749754864455119",
+        "0.18972465307973865", "0.01602011638191661",
+        "-0.0013872512432233038", "0.003188056848901318",
+        "0.00024374925724105542", "-0.0017451325487328664",
+        "4.017338396232875e-12", "0.008749754864455339",
+        "-0.01081781579000518",
+    ),
+    (0.9 - 1.3j, 1.0, 2.0): (
+        "np.float64(0.09601620576881609)", "np.float64(-0.013293335937294329)",
+        "np.float64(-0.19307450090910275)", "0.13301151584379706",
+        "np.float64(2.6947819879264927e-13)", "np.float64(0.09601620576881609)",
+        "np.float64(-0.19307450090910275)", "np.float64(-0.013293335937294329)",
+        "0.13301151584379706", "0.30899083756844753",
+        "0.13056416023873316", "0.407492693444686",
+        "0.0960162057688192", "-0.013293335937273956",
+        "-0.19307450090910924", "0.13301151584380166",
+        "7.847184920832052e-13", "0.3089908375684579",
+        "-0.2974520805440477",
+    ),
+    (0.9 - 1.3j, 0.6, 0.6): (
+        "np.float64(5.551115123125783e-17)", "np.float64(0.7958821485440715)",
+        "np.float64(-0.7958821485439148)", "1.474514954580286e-16",
+        "np.float64(8.365515552322498e-13)", "np.float64(5.551115123125783e-17)",
+        "np.float64(-0.7958821485439148)", "np.float64(0.7958821485440715)",
+        "1.474514954580286e-16", "1.2301309177287063",
+        "-0.27297291118623357", "0.2232481487259873",
+        "2.220446049250313e-16", "0.7958821485439425",
+        "-0.7958821485439421", "2.4253602598500734e-16",
+        "4.0636951314522596e-13", "1.2301309177287485",
+        "-1.0265182099660626",
+    ),
+    (0.9 - 1.3j, 0.601, 0.6): (
+        "np.float64(-0.0007949808550786197)", "np.float64(0.7958803175148427)",
+        "np.float64(-0.7940795266999626)", "-0.0036587800073154307",
+        "np.float64(4.620403692801409e-13)", "np.float64(-0.0007949808550786197)",
+        "np.float64(-0.7940795266999626)", "np.float64(0.7958803175148427)",
+        "-0.0036587800073154307", "1.2291025358736907",
+        "-0.27202639030001935", "0.22441164778874828",
+        "-0.0007949808550784532", "0.795880317514871",
+        "-0.7940795266999899", "-0.0036587800075926695",
+        "4.062307352671478e-13", "1.2291025358737329",
+        "-1.0183326836138242",
+    ),
+    (0.9 - 1.3j, 2.3, 1.2): (
+        "np.float64(-0.06156195090556299)", "np.float64(0.12012091931350702)",
+        "np.float64(0.011101497477888175)", "-0.07694958254574388",
+        "np.float64(2.574139008295623e-13)", "np.float64(-0.06156195090556299)",
+        "np.float64(0.011101497477888175)", "np.float64(0.12012091931350702)",
+        "-0.07694958254574388", "0.22524174452543072",
+        "0.36569059454650804", "0.16045174290232686",
+        "-0.061561950905565085", "0.12012091931351102",
+        "0.011101497477888564", "-0.0769495825457464",
+        "2.575775613942013e-13", "0.22524174452543827",
+        "-0.07310424362991645",
+    ),
+
+}
+# at z = 1.5 both w vanish and every value is 0.0; the scalar kernel for x < y
+# was -0.0 before ``kernel`` short-circuited an identically zero z
+for _x, _y in _ROUTE_POINTS:
+    _ROUTE_GOLDENS[(1.5, _x, _y)] = ("0.0",) * 19
+
+
+def _route_values(z, x, y):
+    p = KernelParams(z)
+    ctx = KernelContext(p)
+    v = matrix_kernel(x, y, p)
+    b = ctx.block(x, y)
+    return (
+        v.s, v.s_y, v.s_x, v.s_xy, v.error,
+        S(x, y, p), *S_partials(x, y, p),
+        scalar_whittaker_kernel(x, y, p),
+        w_a("-1/2", x, p), w_a("3/2", x, p),
+        b.s, b.s_y, b.s_x, b.s_xy, b.error,
+        *ctx.kernel(x, y),
+    )
+
+
+# one case per z: the cold mpmath route takes about 8 s for the four points
+@pytest.mark.parametrize("z", _ROUTE_ZS)
+def test_kernel_values_pinned(z):
+    for x, y in _ROUTE_POINTS:
+        got = tuple(repr(v) for v in _route_values(z, x, y))
+        assert got == _ROUTE_GOLDENS[(z, x, y)], (z, x, y)

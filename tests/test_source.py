@@ -1,5 +1,6 @@
-"""Source hygiene checks that need no linter: unused imports in the
-package, and the names the benchmark's tracer wraps."""
+"""Source hygiene checks that need no linter: unused imports and
+unreferenced definitions in the package, and the names the benchmark's
+tracer wraps."""
 
 import ast
 import importlib
@@ -43,6 +44,47 @@ def test_unused_import_check_finds_one(tmp_path):
     src = tmp_path / "m.py"
     src.write_text("import os\nimport sys  # noqa\nfrom math import pi, tau\nprint(tau)\n")
     assert _unused_imports(src) == ["m.py:1 os", "m.py:3 pi"]
+
+
+def _unreferenced_definitions(package: list[Path], readers: list[Path]) -> list[str]:
+    """Functions, classes and methods defined in ``package`` (dunders
+    excepted) whose name no ``ast.Name`` or ``ast.Attribute`` in ``readers``
+    mentions."""
+    named = set()
+    for path in readers:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    unreferenced = []
+    for path in package:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                dunder = node.name.startswith("__") and node.name.endswith("__")
+                if not dunder and node.name not in named:
+                    unreferenced.append((path.name, node.lineno, node.name))
+    return [f"{name}:{line} {defn}" for name, line, defn in sorted(unreferenced)]
+
+
+def test_every_definition_is_referenced():
+    readers = [p for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    assert _unreferenced_definitions(SOURCES, readers) == []
+
+
+def test_unreferenced_definition_check_finds_one(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(
+        "class A:\n"
+        "    def __init__(self): pass\n"
+        "    def used(self): pass\n"
+        "    def unused(self): pass\n"
+        "def helper(): pass\n"
+        "def orphan(): pass\n"
+        "A().used()\n"
+        "print(helper)\n"
+    )
+    assert _unreferenced_definitions([src], [src]) == ["m.py:4 unused", "m.py:6 orphan"]
 
 
 def _traced_names() -> list[tuple[str, str]]:
