@@ -49,7 +49,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special as sp
 
 from .errors import DomainError, ParameterError, UnvalidatedDomainError, validate_z
 from .partitions import half_integer
@@ -58,6 +57,7 @@ from .specfun import (
     ASYMPTOTIC_X,
     X_MAX,
     is_gamma_pole,
+    log_gamma,
     whittaker_W,
     whittaker_W_deriv,
     whittaker_W_second,
@@ -71,6 +71,7 @@ _QUAD_ABS_FLOOR = 1e-20
 # relative accuracy of the table integrands: K and dK/dy near the window edge
 # lose up to two digits to cancellation in w_-(s) w_+(y) - w_+(s) w_-(y)
 _TABLE_REL_FLOOR = 1e-12
+_HALF_INTEGERS = (-0.5, 0.5)
 
 
 @dataclass(frozen=True)
@@ -113,18 +114,24 @@ class KernelParams:
         """(z1 - z2)/2 = -2i Im z, purely imaginary."""
         return complex(0.0, -2.0 * complex(self.z).imag)
 
+    def _gamma_arg(self, a: float) -> complex:
+        """z1 - a + 1/2 = -2z - a + 1/2."""
+        return -2.0 * complex(self.z) - a + 0.5
+
     def prefactor(self, a: float) -> float:
         """(Gamma(z1-a+1/2) Gamma(z2-a+1/2))^{-1/2} = 1/|Gamma(z1-a+1/2)|,
         extended by continuity to exact 0 at gamma poles."""
-        w = -2.0 * complex(self.z) - a + 0.5
+        w = self._gamma_arg(a)
         if is_gamma_pole(w):
             return 0.0
-        return math.exp(-complex(sp.loggamma(w)).real)
+        return math.exp(-log_gamma(w).real)
 
     @property
     def identically_zero(self) -> bool:
-        """True when both w_{-1/2} and w_{1/2} vanish identically."""
-        return self.prefactor(-0.5) == 0.0 and self.prefactor(0.5) == 0.0
+        """True when both w_{-1/2} and w_{1/2} vanish identically, i.e. both
+        gamma arguments are poles: away from them 1/|Gamma(w)| stays far
+        from underflow for |w| <= 8, which the validated box keeps."""
+        return all(is_gamma_pole(self._gamma_arg(a)) for a in _HALF_INTEGERS)
 
 
 def _validate_x(x: float, what: str = "x") -> float:
@@ -155,9 +162,6 @@ class MatrixKernelValue:
 
     def as_array(self) -> np.ndarray:
         return np.array([[self.s, self.s_y], [self.s_x, self.s_xy]])
-
-
-_HALF_INTEGERS = (-0.5, 0.5)
 
 
 class _BlockPipeline:

@@ -46,6 +46,15 @@ def test_degenerate_prefactors_vanish():
     assert w_a("-1/2", 1.0, P_DEGENERATE) == 0.0
 
 
+@pytest.mark.parametrize(
+    "z", [0.5, 1.0, 1.5, 2.0, 0.5 + 1.25j, 1.0 - 0.5j, 0.3 + 0.4j, 0.25, 0.75, 2.25 + 3j, 1e-9, 5e-324j]
+)
+def test_identically_zero_is_both_prefactors_zero(z):
+    # the pole test stands in for evaluating the two prefactors
+    p = KernelParams(z)
+    assert p.identically_zero == (p.prefactor(-0.5) == 0.0 and p.prefactor(0.5) == 0.0)
+
+
 def test_w_a_validation():
     with pytest.raises(DomainError):
         w_a(0.3, 1.0, P_COMPLEX)

@@ -1,9 +1,12 @@
 """Source hygiene checks that need no linter: unused imports and
-unreferenced definitions in the package, and the names the benchmark's
-tracer wraps."""
+unreferenced definitions in the package, the names the benchmark's tracer
+wraps, and the modules an import pulls in."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -109,3 +112,13 @@ def test_traced_names_resolve():
         if not hasattr(importlib.import_module(f"zmeasures.{module}"), name)
     ]
     assert missing == []
+
+
+def test_import_loads_no_scipy():
+    """The package runs on numpy and mpmath alone; importing scipy would
+    add about a quarter of a second to every process's start-up."""
+    modules = ", ".join(f"zmeasures.{p.stem}" for p in SOURCES if p.stem != "__init__")
+    code = f"import sys, {modules}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"
