@@ -13,7 +13,13 @@ Two evaluation routes for W are available:
 * ``direct``  - mpmath's ``whitw`` at 25 digits for x <= ASYMPTOTIC_X
   (scipy's hyperu loses digits there), and the Poincare asymptotic
   series above it.  Where that series stalls before reaching its
-  accuracy target the call is refused with NumericalError.
+  accuracy target the call is refused with NumericalError, and so is a
+  call where mpmath's hypergeometric sums fail to converge (at an exact
+  zero such as W_{2,1/2}(2), for instance).  whitw runs in a private
+  mpmath context that memoizes Gamma, 1/Gamma and sin(pi .): hyperu takes
+  them at parameters fixed by (k, m), the same at every quadrature node,
+  and they cost a third of a call.  The values are bit for bit those of
+  plain ``mpmath.whitw``, and the global ``mpmath.mp`` is left alone.
 * ``integral`` - the real-integral representation of the Tricomi
   function, admissible for Re(m - k + 1/2) > 0 after exploiting the
   m -> -m symmetry; kept fully independent of the direct route so the
@@ -40,6 +46,7 @@ import sys
 from functools import lru_cache
 
 import mpmath as mp
+from mpmath import libmp
 
 from .errors import DomainError, NumericalError, PoleError, UnvalidatedDomainError
 from .quadrature import adaptive_gauss_legendre
@@ -294,15 +301,41 @@ def _asymptotic(k: complex, m: complex, x: float) -> complex:
     return cmath.exp(-x / 2 + k * math.log(x)) * total
 
 
+# A private mpmath context whose Gamma, 1/Gamma and sin(pi .) remember their
+# results.  whitw calls hyperu, and hyperu's hypercomb takes 1/Gamma and
+# sin(pi .) at a, b, a - b + 1 and 2 - b, which depend on (k, m) alone, so
+# every quadrature node after the first at the same indices finds them
+# cached; Gamma, for hypercomb's numerator factors, goes with them.  The
+# libmp functions are pure in (value, prec, rounding), so W comes out bit for
+# bit as from mpmath.whitw, and the global mpmath.mp is left alone.
+_MP = mp.MPContext()
+_MEMOS = tuple(
+    lru_cache(maxsize=1024)(f)
+    for f in (
+        libmp.mpf_gamma, libmp.mpc_gamma,
+        libmp.mpf_rgamma, libmp.mpc_rgamma,
+        libmp.mpf_sin_pi, libmp.mpc_sin_pi,
+    )
+)
+_MP.gamma, _MP.rgamma, _MP.sinpi = (
+    _MP._wrap_libmp_function(_MEMOS[i], _MEMOS[i + 1]) for i in (0, 2, 4)
+)
+
+
 @lru_cache(maxsize=200_000)
 def _direct(k: complex, m: complex, x: float) -> complex:
     if x > ASYMPTOTIC_X:
         return _asymptotic(k, m, x)
     # scipy's hyperu drops to ~5 correct digits for moderate x and small
     # indices, so arbitrary precision is used below the asymptotic cutoff
-    with mp.workdps(25):
-        v = mp.whitw(mp.mpc(k), mp.mpc(m), mp.mpf(x))
-        return complex(v)
+    try:
+        with _MP.workdps(25):
+            return complex(_MP.whitw(_MP.mpc(k), _MP.mpc(m), _MP.mpf(x)))
+    except (ValueError, libmp.NoConvergence) as e:
+        # hypsum and hypercomb give up with a bare ValueError, for instance
+        # where W vanishes exactly: W_{2,1/2}(2) = 0 because U(-1, 2, 2) = 0
+        reason = str(e).partition("\n")[0]
+        raise NumericalError(f"mpmath did not converge for W_{{{k},{m}}}({x}): {reason}") from e
 
 
 @lru_cache(maxsize=50_000)

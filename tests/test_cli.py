@@ -139,6 +139,20 @@ def test_corr_readme_line_golden(capsys):
     assert out == "points,value\n1.0 2.0,np.float64(1.750301880888032e-09)\n"
 
 
+def test_whittaker_exact_zero_exits_3():
+    # W_{2,1/2}(2) = 0: mpmath's terminating 2F0 sums to zero and cannot
+    # reach a relative accuracy, which it reports with a bare ValueError
+    proc = subprocess.run(
+        [sys.executable, "-m", "zmeasures.cli", "whittaker", "--k", "2.0", "--m", "0.5,0", "--x", "2.0"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("numerical error: ")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_parameter_error_exit_code(capsys):
     assert run(["zmeasure", "--z", "0,0", "--n", "2"]) == 2
     assert run(["bogus-subcommand"]) == 2
@@ -335,6 +349,30 @@ def _fuzzed_list_argv(draw):
 @example(["gelfand", "--n=2", "--g=1,2;2,3", "--lam=2,1"])
 @example(["lattice-corr", "--z=0.5,0", "--xi=0.5", "--nmax=5", "--x", "3/2", "3/2"])
 def test_fuzzed_list_arguments_keep_exit_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 2, 3), (argv, code, err.getvalue())
+    if code != 0:
+        assert out.getvalue() == "", argv
+
+
+# valid indices where the hypergeometric parameters of W are integers or
+# half-integers: terminating series, perturbed hypercomb, exact zeros
+_WHITTAKER_K = tuple(str(k / 2) for k in range(-2, 7))
+_WHITTAKER_M = ("0,0", "0.5,0", "1,0", "1.5,0", "0,2")
+_WHITTAKER_X = ("0.5", "1", "2", "4", "6")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(_WHITTAKER_K),
+    st.sampled_from(_WHITTAKER_M),
+    st.lists(st.sampled_from(_WHITTAKER_X), min_size=1, max_size=3).map(",".join),
+)
+@example("2.0", "0.5,0", "2.0")
+def test_fuzzed_whittaker_degenerate_indices_keep_exit_contract(k, m, x):
+    argv = ["whittaker", f"--k={k}", f"--m={m}", f"--x={x}"]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(argv)

@@ -1,7 +1,10 @@
 import math
+import random
 
+import mpmath
 import pytest
 
+from zmeasures import specfun
 from zmeasures.errors import (
     DomainError,
     NumericalError,
@@ -9,6 +12,9 @@ from zmeasures.errors import (
     UnvalidatedDomainError,
 )
 from zmeasures.specfun import (
+    ASYMPTOTIC_X,
+    INDEX_MAX,
+    X_MIN,
     is_gamma_pole,
     log_gamma,
     whittaker_W,
@@ -122,3 +128,75 @@ def test_asymptotic_seam_values_agree_with_integral():
         d = whittaker_W(k, m, 41.0)
         i = whittaker_W(k, m, 41.0, method="integral")
         assert d == pytest.approx(i, rel=1e-8)
+
+
+# k, m and x where the hypergeometric parameters of W are integers or
+# half-integers: 2F0 terminates, hypercomb perturbs, or W vanishes exactly
+_DEGENERATE = [
+    (k / 2, m, x)
+    for k in range(-2, 7)
+    for m in (0.0, 0.5, 1.0, 1.5, 2j)
+    for x in (0.5, 1.0, 2.0, 4.0, 6.0)
+]
+
+
+def _global_whitw(k: complex, m: complex, x: float) -> complex:
+    with mpmath.workdps(25):
+        return complex(mpmath.whitw(mpmath.mpc(k), mpmath.mpc(m), mpmath.mpf(x)))
+
+
+def _hex(v: complex) -> tuple[str, str]:
+    return v.real.hex(), v.imag.hex()
+
+
+def test_private_context_is_bit_identical_to_global_whitw():
+    # the memoized Gamma, 1/Gamma and sin(pi .) must not move a single bit;
+    # the order is shuffled so that the memos hold values of other indices
+    rng = random.Random(2012)
+    # the kernel's indices: k = -2 Re z - a and k - 1 for a = +-1/2, m = -2i Im z
+    cases = [
+        (rng.uniform(-INDEX_MAX, 0.5), 1j * rng.uniform(-INDEX_MAX, INDEX_MAX),
+         math.exp(rng.uniform(math.log(X_MIN), math.log(ASYMPTOTIC_X))))
+        for _ in range(300)
+    ] + _DEGENERATE
+    rng.shuffle(cases)
+    raised = 0
+    for k, m, x in cases:
+        k, m = complex(k), complex(m)
+        try:
+            ref = _global_whitw(k, m, x)
+        except (ValueError, mpmath.libmp.NoConvergence):
+            raised += 1
+            with pytest.raises(NumericalError):
+                specfun._direct.__wrapped__(k, m, x)
+            continue
+        assert _hex(specfun._direct.__wrapped__(k, m, x)) == _hex(ref), (k, m, x)
+    # W_{2,1/2}(2) = 0: the terminating 2F0 sums to exactly zero
+    assert raised >= 1
+
+
+@pytest.mark.parametrize("error", [mpmath.libmp.NoConvergence(), ValueError("hypsum() failed\nto converge")])
+def test_mpmath_convergence_failure_is_numerical_error(monkeypatch, error):
+    def fail(*args):
+        raise error
+
+    monkeypatch.setattr(specfun._MP, "whitw", fail)
+    with pytest.raises(NumericalError, match="mpmath did not converge") as info:
+        specfun._direct.__wrapped__(-0.5 + 0j, 0.5j, 1.0)
+    assert "\n" not in str(info.value)
+
+
+def test_memo_caches_bounded_and_global_mpmath_untouched():
+    hits = sum(memo.cache_info().hits for memo in specfun._MEMOS)
+    for i in range(40):
+        z = complex(0.05 * i, 0.1 * i - 2.0)
+        for x in (1.0 + 0.01 * i, 2.0 + 0.01 * i):
+            whittaker_W(-2.0 * z.real - 0.5, complex(0.0, -2.0 * z.imag), x)
+    # the second x at each index pair reuses the factors of the first
+    assert sum(memo.cache_info().hits for memo in specfun._MEMOS) > hits
+    for memo in specfun._MEMOS:
+        info = memo.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+    assert mpmath.mp.prec == 53
+    for name in ("gamma", "rgamma", "sinpi"):
+        assert getattr(mpmath.mp, name) is not getattr(specfun._MP, name)
