@@ -1,11 +1,14 @@
 """Continuum correlation functions and the lattice scaling-limit harness.
 
 The continuum n-point function is the Pfaffian of the assembled 2n x 2n
-kernel matrix, whose blocks come from one ``kernels.KernelContext`` per
-call: Taylor tables of the Whittaker functions, seeded by four
-``whittaker_W`` calls at x = 200 and checked against the mpmath route in
-the tests, so no mpmath call is made per quadrature node and the
-Poincare-series stall above x = 40 no longer refuses a correlation.  The
+kernel matrix, whose blocks come from a ``kernels.KernelContext`` held
+across calls for the two most recent z (``kernels._context``): Taylor
+tables of the Whittaker functions, seeded by four ``whittaker_W`` calls
+at x = 200 and checked against the mpmath route in the tests, so no
+mpmath call is made per quadrature node and the Poincare-series stall
+above x = 40 no longer refuses a correlation.  A block depends only on
+(z, x, y), so repeated calls at one z, such as the ``verify_limit``
+ladders over one u-set, reuse the tables and blocks.  The
 harness rescales lattice correlation probabilities
 by (1-xi)^{-n} along a xi-ladder, with the lattice points chosen as the
 half-integers nearest to u/(1-xi) (ties broken downward, computed in
@@ -20,8 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DomainError, ParameterError, ResourceCapError
-from .kernels import KernelContext, KernelParams
+from . import kernels
+from .errors import DomainError, ParameterError, validate_n_max
+from .kernels import KernelParams
 from .measures import CorrelationReport, ZParams, lattice_correlation
 from .pfaffian import assemble, pfaffian
 
@@ -31,9 +35,10 @@ DEFAULT_NMAX = 80
 
 def continuum_correlation(points: Sequence[float], z: complex) -> float:
     """rho_n(x_1, ..., x_n): Pfaffian of the assembled kernel matrix,
-    with the blocks taken from one KernelContext built for z."""
+    with the blocks taken from the KernelContext of z, built on the first
+    call at z and kept for the two most recent z."""
     params = KernelParams(complex(z))
-    return pfaffian(assemble(points, KernelContext(params)))
+    return pfaffian(assemble(points, kernels._context(params)))
 
 
 def _exact(v, what: str = "value") -> Fraction:
@@ -96,8 +101,7 @@ def verify_limit(
     us = [float(u) for u in u_points]
     if len(set(us)) != len(us):
         raise DomainError(f"u-points must be distinct, got {us}")
-    if n_max < 0 or n_max > VERIFY_NMAX_CAP:
-        raise ResourceCapError(f"n_max must lie in [0, {VERIFY_NMAX_CAP}]")
+    n_max = validate_n_max(n_max, VERIFY_NMAX_CAP)
     n = len(us)
     # the whole ladder is checked before any correlation is computed
     exact_us = [_exact(u, "u") for u in u_points]

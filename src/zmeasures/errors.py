@@ -5,6 +5,7 @@ failures and inconclusive results to exit code 3.
 """
 
 import cmath
+import operator
 
 
 class ZMeasuresError(Exception):
@@ -44,3 +45,17 @@ def validate_z(z) -> complex:
     if zc == 0:
         raise ParameterError("z must be nonzero")
     return zc
+
+
+def validate_n_max(n_max, cap: int) -> int:
+    """The truncation size n_max as an int in [0, cap]: ParameterError
+    unless it is an integer (numpy integers included), ResourceCapError
+    beyond the cap.  A float such as NaN would pass both comparisons and
+    leave the negative-binomial tail summing forever."""
+    try:
+        n = operator.index(n_max)
+    except TypeError:
+        raise ParameterError(f"n_max must be an integer, got {n_max!r}") from None
+    if not 0 <= n <= cap:
+        raise ResourceCapError(f"n_max must lie in [0, {cap}], got {n}")
+    return n

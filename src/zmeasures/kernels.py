@@ -37,9 +37,10 @@ with one adaptive quadrature and one tail bound.  Two sources of W feed it:
   at x = 200, evaluates them on arrays of nodes, and takes K and dK/dy
   from series re-centred at y for |s - y| <= min(y/2, 4).
   ``correlations.continuum_correlation`` and ``verify_limit`` assemble
-  through it.  Every power table tau^n it sums against is a running
-  product along n (``_powers``), not ``np.power``: in float at each
-  quadrature node, in long double for the per-z step tables.
+  through ``_context``, which keeps the contexts of the two most recent z,
+  with their tables and blocks.  Every power table tau^n it sums against
+  is a running product along n (``_powers``), not ``np.power``: in float
+  at each quadrature node, in long double for the per-z step tables.
 """
 
 from __future__ import annotations
@@ -633,3 +634,8 @@ class KernelContext(_BlockPipeline):
             float(self._wa(0, s)[0]),
             self._series(y).wp,
         )
+
+
+# the tables at the two most recent z, like ``_mpmath_kernel``: a context's
+# blocks are pure functions of (z, x, y), so calls at one z share them
+_context = lru_cache(maxsize=2)(KernelContext)

@@ -28,6 +28,12 @@ The measure has two evaluators, one per kind of traffic:
   evaluated in chunks of ``_CHUNK_CELLS // n`` diagrams, so the float
   arrays stay near ``_CHUNK_CELLS`` entries whatever a stratum holds.
 
+A stratum sum, the z-measure of the diagrams of one size n that contain
+the points, depends on neither xi nor n_max: xi enters only through the
+negative-binomial weights.  Each engine keeps the sums it has computed
+(``_MeasureEngine.stratum_sums``), so the rungs of a xi-ladder, and any
+later call at the same (z, theta), walk each (n, points) once.
+
 Both renormalise the hook products H and H' at row ends.  A diagram whose
 products leave the float range inside one row, as a row of 171 or more
 cells does, has its hook term recomputed as a sum of logs instead, so
@@ -50,11 +56,19 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, ParameterError, ResourceCapError, validate_z
+from .errors import (
+    DomainError,
+    NumericalError,
+    ParameterError,
+    ResourceCapError,
+    validate_n_max,
+    validate_z,
+)
 from .partitions import (
     HALF,
     YoungDiagram,
@@ -108,9 +122,11 @@ class CorrelationReport:
 
 
 class _MeasureEngine:
-    """Per-(z, theta) evaluator with cached row-Pochhammer log tables."""
+    """Per-(z, theta) evaluator with cached row-Pochhammer log tables, and
+    the stratum sums ``lattice_correlation`` has computed at this (z, theta),
+    by (n, sorted target points)."""
 
-    def __init__(self, z: complex, theta: float):
+    def __init__(self, z: complex, theta: float | Fraction):
         self.z = complex(z)
         self.theta = float(theta)
         self.a = abs(z) ** 2 / self.theta
@@ -118,6 +134,7 @@ class _MeasureEngine:
         self._row_zero: list[int] = []  # first column count hitting a zero factor
         self._row_arrays = (np.zeros((0, 1)), np.zeros(0, dtype=np.int64))
         self._cuts: dict[int, tuple[int, int]] = {}
+        self.stratum_sums: dict[tuple[int, tuple[int, ...]], tuple[float, int]] = {}
 
     def _ensure_row(self, i: int, length: int):
         while len(self._row_logs) < i:
@@ -584,22 +601,31 @@ def lattice_correlation(
     counts the diagrams with nonzero measure that contain X.  The point
     1/2 is no positive coordinate of any diagram, so an X holding it
     returns 0 without a walk.
+
+    The stratum sums depend on neither xi nor n_max, and are kept on the
+    (z, theta) engine by size and sorted points: a size already summed
+    there, at any xi, n_max or order of X, is read back, not walked, and
+    gives the same float.  ``n_max`` must be an integer (ParameterError
+    otherwise) in [0, ``LATTICE_NMAX_CAP``] (ResourceCapError).
     """
-    if n_max < 0 or n_max > LATTICE_NMAX_CAP:
-        raise ResourceCapError(
-            f"n_max must lie in [0, {LATTICE_NMAX_CAP}], got {n_max}"
-        )
-    target_bs = tuple(_validate_lattice_points(X))
+    n_max = validate_n_max(n_max, LATTICE_NMAX_CAP)
+    target_bs = tuple(sorted(_validate_lattice_points(X)))
     bound = negative_binomial_tail(n_max, p)
     if 0 in target_bs:
         return CorrelationReport(value=0.0, truncation_bound=bound, n_max_used=n_max, terms_summed=0)
-    eng = _engine(p.z, float(p.theta))
+    # keyed by the exact theta, whose column shifts the walk reads: 1/3 and
+    # 0.3333333333333333 are one float but shift different columns
+    eng = _engine(p.z, _as_fraction(p.theta))
     shifts = column_shifts(p.theta, n_max)
 
     value = 0.0
     terms = 0
     for n in range(1, n_max + 1):
-        s, c = _stratum_sum(n, eng, shifts, target_bs)
+        key = (n, target_bs)
+        sum_count = eng.stratum_sums.get(key)
+        if sum_count is None:
+            sum_count = eng.stratum_sums[key] = _stratum_sum(n, eng, shifts, target_bs)
+        s, c = sum_count
         if s:
             value += negative_binomial_weight(n, p) * s
         terms += c

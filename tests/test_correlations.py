@@ -1,9 +1,12 @@
 import math
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from zmeasures import correlations
+from zmeasures import correlations, measures
 from zmeasures.correlations import (
     continuum_correlation,
     lattice_point_for,
@@ -11,7 +14,7 @@ from zmeasures.correlations import (
 )
 from zmeasures.errors import DomainError, ParameterError, ResourceCapError
 from zmeasures.kernels import KernelContext, KernelParams, S_partials, scalar_whittaker_kernel
-from zmeasures.measures import ZParams, schur_correlation
+from zmeasures.measures import ZParams, lattice_correlation, schur_correlation
 
 
 def test_lattice_point_examples():
@@ -112,6 +115,50 @@ def test_verify_limit_refuses_bad_ladder_before_continuum(monkeypatch):
             verify_limit([1.0], 0.3 + 0.4j, ladder, n_max=10)
     with pytest.raises(ParameterError, match="u must be a finite number"):
         verify_limit([float("nan")], 0.3 + 0.4j, ["0.8"], n_max=10)
+
+
+@contextmanager
+def _fails_after(seconds: float):
+    """Raise in the test, rather than hang, when the body runs too long."""
+    def fire(signum, frame):
+        raise AssertionError(f"still running after {seconds:g} s")
+
+    old = signal.signal(signal.SIGALRM, fire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+_NMAX_ENTRY_POINTS = {
+    "lattice_correlation": lambda n_max: lattice_correlation(
+        [Fraction(3, 2)], ZParams(0.3 + 0.4j, 0.5, 0.5), n_max
+    ),
+    "verify_limit": lambda n_max: verify_limit([1.0], 0.3 + 0.4j, ["0.5", "0.6"], n_max=n_max),
+}
+
+
+@pytest.mark.parametrize("entry", list(_NMAX_ENTRY_POINTS))
+@pytest.mark.parametrize("n_max", [float("nan"), 30.0, 30.5, "30"], ids=repr)
+def test_non_integral_n_max_refused_before_any_work(entry, n_max, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done before n_max was checked")
+
+    monkeypatch.setattr(correlations, "continuum_correlation", no_work)
+    monkeypatch.setattr(correlations, "lattice_correlation", no_work)
+    monkeypatch.setattr(measures, "negative_binomial_tail", no_work)
+    with _fails_after(10.0), pytest.raises(ParameterError, match="n_max must be an integer"):
+        _NMAX_ENTRY_POINTS[entry](n_max)
+
+
+@pytest.mark.parametrize("entry", list(_NMAX_ENTRY_POINTS))
+def test_numpy_integer_n_max_accepted(entry):
+    run = _NMAX_ENTRY_POINTS[entry]
+    got, ref = run(np.int64(12)), run(12)
+    assert got == ref
+    assert type(got.n_max_used) is int
 
 
 @pytest.mark.parametrize("z", [0.3 + 0.4j, 0.6 - 0.5j])

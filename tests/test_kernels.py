@@ -166,15 +166,47 @@ def test_mpmath_kernel_cache_is_bounded():
     assert scalar_whittaker_kernel(1.0, 2.0, P_COMPLEX) == first
 
 
+def test_context_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(kernels, "_context", lru_cache(maxsize=2)(KernelContext))
+    for z in (0.3 + 0.4j, 1.0 + 0.2j, 0.6 - 0.5j):
+        continuum_correlation([1.0], z)
+    assert kernels._context.cache_info().currsize == 2
+
+
+def test_continuum_correlation_warm_or_cold_matches_fresh_context(monkeypatch):
+    # complex(0.3, 0.0) and complex(0.3, -0.0) are one key, so the second is
+    # served by the context the first built
+    monkeypatch.setattr(kernels, "_context", lru_cache(maxsize=2)(KernelContext))
+    calls = [
+        ([0.7, 1.9], 0.3 + 0.4j),
+        ([0.7, 1.9], 0.3 + 0.4j),
+        ([1.9, 3.1, 0.7], 0.3 + 0.4j),
+        ([0.7], complex(0.3, 0.0)),
+        ([0.7, 1.9], complex(0.3, -0.0)),
+        ([0.7], complex(0.3, -0.0)),
+        ([2.2, 0.4], 0.9 - 1.3j),
+        ([0.7, 1.9], 0.3 + 0.4j),
+        ([0.7, 1.9], 0.3 + 0.4j),
+    ]
+    for points, z in calls:
+        fresh = pfaffian(assemble(points, KernelContext(KernelParams(z))))
+        assert continuum_correlation(points, z).hex() == fresh.hex(), (points, z)
+    info = kernels._context.cache_info()
+    assert (info.hits, info.misses) == (5, 4)
+    built = kernels._context(KernelParams(complex(0.3, 0.0)))
+    assert kernels._context(KernelParams(complex(0.3, -0.0))) is built
+
+
 @pytest.fixture
 def mpmath_everywhere(monkeypatch):
     """whittaker_W through mpmath for every x in the kernel range, not the
     Poincare series above ASYMPTOTIC_X; the tables keep their seeds at
-    x = 200 from the series.  The Whittaker value cache and the per-z objects
-    of the mpmath route are swapped for empty ones for the test, so no value
-    of either route leaks into another test."""
+    x = 200 from the series.  The Whittaker value cache, the per-z objects
+    of the mpmath route and the per-z contexts are swapped for empty ones
+    for the test, so no value leaks into another test."""
     monkeypatch.setattr(specfun, "_direct", lru_cache(maxsize=None)(specfun._direct.__wrapped__))
     monkeypatch.setattr(kernels, "_mpmath_kernel", lru_cache(maxsize=2)(kernels._MpmathKernel))
+    monkeypatch.setattr(kernels, "_context", lru_cache(maxsize=2)(kernels.KernelContext))
     monkeypatch.setattr(specfun, "ASYMPTOTIC_X", kernels.KERNEL_X_MAX)
 
 
@@ -227,7 +259,9 @@ def test_context_pool_op_c005_matches_mpmath_route(mpmath_everywhere):
 
 
 def test_context_pool_op_c061_is_fast():
-    # three close points; the mpmath route runs past 30 s
+    # three close points; the mpmath route runs past 30 s.  Timed with a
+    # cold context, whose tables are built inside the call
+    kernels._context.cache_clear()
     t = time.perf_counter()
     value = continuum_correlation([2.575, 2.605, 2.723], 0.0336 - 1.0604j)
     assert time.perf_counter() - t < 1.0

@@ -1,4 +1,7 @@
+import functools
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -203,6 +206,118 @@ def test_engine_cache_is_bounded():
         z_measure(lam, p2)
     assert _engine.cache_info().currsize == 2
     assert z_measure(lam, p1) == first
+
+
+def _report_hex(rep: CorrelationReport) -> tuple:
+    return rep.value.hex(), rep.truncation_bound.hex(), rep.terms_summed
+
+
+@pytest.fixture
+def fresh_engines(monkeypatch):
+    """An empty engine cache for the test, and the number of strata walked
+    since the test began (through ``walks()``)."""
+    monkeypatch.setattr(measures, "_engine", functools.lru_cache(maxsize=2)(measures._MeasureEngine))
+    walked = []
+    real = measures._stratum_sum
+
+    def counting(n, eng, shifts, target_bs):
+        walked.append(n)
+        return real(n, eng, shifts, target_bs)
+
+    monkeypatch.setattr(measures, "_stratum_sum", counting)
+    return lambda: len(walked)
+
+
+def _fresh_report(X, p: ZParams, n_max: int) -> CorrelationReport:
+    """``lattice_correlation`` on an engine built for this call alone."""
+    saved = measures._engine
+    measures._engine = functools.lru_cache(maxsize=1)(measures._MeasureEngine)
+    try:
+        return lattice_correlation(X, p, n_max)
+    finally:
+        measures._engine = saved
+
+
+_H = Fraction(1, 2)
+# (earlier calls, the call compared with a fresh engine)
+_MEMO_CASES = {
+    "another xi": (
+        [([_H * 3, _H * 7], ZParams(0.3 + 0.7j, 0.5, 0.5), 24)],
+        ([_H * 3, _H * 7], ZParams(0.3 + 0.7j, 0.5, 0.8), 24),
+    ),
+    "larger n_max": (
+        [([_H * 5], ZParams(0.6 - 0.5j, 0.5, 0.6), 14)],
+        ([_H * 5], ZParams(0.6 - 0.5j, 0.5, 0.6), 26),
+    ),
+    "smaller n_max": (
+        [([_H * 5], ZParams(0.6 - 0.5j, 0.5, 0.6), 26)],
+        ([_H * 5], ZParams(0.6 - 0.5j, 0.5, 0.7), 14),
+    ),
+    "X in another order": (
+        [([_H * 3, _H * 9], ZParams(1 + 1j, 0.5, 0.6), 22)],
+        ([_H * 9, _H * 3], ZParams(1 + 1j, 0.5, 0.6), 22),
+    ),
+    "zero cut z = 1.5": (
+        [([_H * 3], ZParams(1.5, 0.5, 0.7), 40), ([_H * 5], ZParams(1.5, 0.5, 0.7), 40)],
+        ([_H * 3], ZParams(1.5, 0.5, 0.9), 60),
+    ),
+    "theta = 1/3": (
+        [([_H * 3, _H * 5], ZParams(0.3 + 0.7j, Fraction(1, 3), 0.5), 20)],
+        ([_H * 5, _H * 3], ZParams(0.3 + 0.7j, Fraction(1, 3), 0.7), 24),
+    ),
+    "theta = 2": (
+        [([_H * 3], ZParams(0.3 + 0.7j, 2.0, 0.5), 20)],
+        ([_H * 3], ZParams(0.3 + 0.7j, 2.0, 0.7), 24),
+    ),
+    # one float, two thetas: the walk reads the column shifts of the exact one
+    "theta 1/3 after its float": (
+        [([_H * 3], ZParams(0.3 + 0.7j, 1 / 3, 0.5), 20)],
+        ([_H * 3], ZParams(0.3 + 0.7j, Fraction(1, 3), 0.5), 20),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_MEMO_CASES), ids=list(_MEMO_CASES))
+def test_stratum_memo_bit_identical_to_fresh_engine(case, fresh_engines):
+    earlier, (X, p, n_max) = _MEMO_CASES[case]
+    for args in earlier:
+        lattice_correlation(*args)
+    got = lattice_correlation(X, p, n_max)
+    assert _report_hex(got) == _report_hex(_fresh_report(X, p, n_max))
+    assert got.n_max_used == n_max
+
+
+def test_repeated_call_walks_no_stratum(fresh_engines):
+    walks = fresh_engines
+    z = 0.3 + 0.7j
+    lattice_correlation([_H * 3, _H * 5], ZParams(z, 0.5, 0.5), 20)
+    assert walks() == 20
+    lattice_correlation([_H * 5, _H * 3], ZParams(z, 0.5, 0.8), 20)
+    lattice_correlation([_H * 3, _H * 5], ZParams(z, 0.5, 0.6), 12)
+    assert walks() == 20
+    # a larger n_max walks only the sizes not summed yet
+    lattice_correlation([_H * 3, _H * 5], ZParams(z, 0.5, 0.6), 26)
+    assert walks() == 26
+    # other points, or another theta, are other strata
+    lattice_correlation([_H * 3], ZParams(z, 0.5, 0.6), 10)
+    lattice_correlation([_H * 3, _H * 5], ZParams(z, 2.0, 0.6), 10)
+    assert walks() == 46
+
+
+def test_stratum_memo_dropped_with_its_engine(fresh_engines):
+    walks = fresh_engines
+    p = ZParams(0.3 + 0.7j, 0.5, 0.6)
+    first = lattice_correlation([_H * 3], p, 16)
+    engine = weakref.ref(measures._engine(p.z, Fraction(1, 2)))
+    assert len(engine().stratum_sums) == 16
+    for z in (1.5, 0.7 - 0.2j):
+        lattice_correlation([_H * 3], ZParams(z, 0.5, 0.6), 16)
+    gc.collect()
+    assert engine() is None
+    before = walks()
+    again = lattice_correlation([_H * 3], p, 16)
+    assert walks() == before + 16
+    assert _report_hex(again) == _report_hex(first)
 
 
 def test_lattice_correlation_against_direct_enumeration():
