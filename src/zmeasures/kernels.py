@@ -23,7 +23,12 @@ exponential-envelope bound carried in the reported error estimate.
 
 One block pipeline (``_BlockPipeline``) owns, per z, the edge integrals
 A, B and the kernel integrals, and turns them into blocks by the S formulas
-with one adaptive quadrature and one tail bound.  Two sources of W feed it:
+with one adaptive quadrature and one tail bound.  Integrals over the same
+nodes are the components of one integrand: (K, dK/dy)/sqrt(s) at one (x, y),
+and, for the points of an assembly (``prepare``), (w_-, w_+)/sqrt(s) at one
+lower limit.  Each component keeps its own panel tree, so its value and
+error are the floats it gets when integrated alone.  Two sources of W feed
+the pipeline:
 
 * ``_MpmathKernel`` evaluates every w_a(s) through ``specfun.whittaker_W``
   (mpmath below x = 40), one node at a time, and takes K and dK/dy from
@@ -40,7 +45,11 @@ with one adaptive quadrature and one tail bound.  Two sources of W feed it:
   through ``_context``, which keeps the contexts of the two most recent z,
   with their tables and blocks.  Every power table tau^n it sums against
   is a running product along n (``_powers``), not ``np.power``: in float
-  at each quadrature node, in long double for the per-z step tables.
+  at each quadrature node, in long double for the per-z step tables.  A
+  context keeps the table values (w_-, w_+) at every array of nodes it has
+  evaluated, so the integrals of an assembly that visit one panel sum the
+  tables there once, and it builds the diagonal series of all the points
+  of an assembly in one batch.  These memos live and die with the context.
 """
 
 from __future__ import annotations
@@ -146,6 +155,11 @@ def _validate_x(x: float, what: str = "x") -> float:
     return x
 
 
+def _in_range(points) -> list[float]:
+    """The distinct points inside the validated kernel range, as floats."""
+    return [x for x in dict.fromkeys(map(float, points)) if KERNEL_X_MIN <= x <= KERNEL_X_MAX]
+
+
 def _tail_T(lo: float) -> float:
     return min(max(lo, ASYMPTOTIC_X) + 100.0, min(X_MAX, 200.0))
 
@@ -168,13 +182,17 @@ class MatrixKernelValue:
 class _BlockPipeline:
     """The 2x2 kernel blocks at one z, from a subclass's source of W.
 
-    A source supplies w_a(s) for a = (-1/2, +1/2)[p] (``_wa``), K(s, y) or
-    dK/dy on quadrature nodes (``_kernels``), the inner panel edges of the
-    kernel integrals at y (``_breaks``) and (K, dK/dy, w_-(x), w_+(y)) at
-    one point (``_point``); ``_VECTORIZED`` says whether its integrands map
-    an array of nodes to an array of values.  The pipeline keeps the edge
-    and kernel integrals of its z and turns them into blocks by the S
-    formulas.
+    A source supplies w_a(s) for a = (-1/2, +1/2)[p] (``_wa``) and the pair
+    (K(s, y), dK/dy(s, y)) (``_kernels``) on quadrature nodes, the inner
+    panel edges of the kernel integrals at y (``_breaks``) and
+    (K, dK/dy, w_-(x), w_+(y)) at one point (``_point``); ``_VECTORIZED``
+    says whether its integrands map an array of nodes to an array of values.
+    Integrals that need the same nodes are the components of one integrand
+    (``quadrature``), so they share their evaluations while each keeps its
+    own panel tree and value: I0 and I1 at one (x, y) always, and A(lo) and
+    B(lo) at one lower limit when ``prepare`` is told that both are needed.
+    The pipeline keeps the edge and kernel integrals of its z and turns
+    them into blocks by the S formulas.
     """
 
     _VECTORIZED = False
@@ -185,74 +203,99 @@ class _BlockPipeline:
         self._edges: dict[tuple[int, float], tuple[float, float]] = {}
         self._integrals: dict[tuple[float, float], tuple[float, float, float]] = {}
 
-    def _integrate(self, f, lo: float, T: float, inner_breaks=()) -> tuple[float, float]:
-        """int_lo^T f(s) ds with a sqrt substitution near a small lower
-        endpoint and the asymptotic-switch point as a forced panel edge.
-        A vectorized integrand is accurate to _TABLE_REL_FLOOR, not to
-        rounding."""
+    def _integrate(self, f, k: int, lo: float, T: float, inner_breaks=()) -> list[tuple[float, float]]:
+        """int_lo^T f(s) ds of each of the k components of f, with a sqrt
+        substitution near a small lower endpoint and the asymptotic-switch
+        point as a forced panel edge.  A vectorized integrand maps an array
+        of nodes to a (k, nodes) array and is accurate to _TABLE_REL_FLOOR,
+        not to rounding."""
         vec = self._VECTORIZED
         quad = {"vectorized": True, "rel_floor": _TABLE_REL_FLOOR} if vec else {}
         if T <= lo:
-            return 0.0, 0.0
+            return [(0.0, 0.0)] * k
         tol = self.params.tol
         breaks = set(b for b in inner_breaks if lo < b < T)
         breaks.add(ASYMPTOTIC_X)
-        total = 0.0
-        err = 0.0
+        parts = []
         start = lo
         if lo < 1.0:
             b = min(1.0, T)
             u_hi = math.sqrt(b - lo)
             u_breaks = [math.sqrt(p - lo) for p in breaks if p < b]
-            v, e = adaptive_gauss_legendre(
+            parts.append(adaptive_gauss_legendre(
                 lambda u: 2.0 * u * f(lo + u * u),
                 0.0,
                 u_hi,
                 tol,
                 u_breaks,
                 abs_floor=_QUAD_ABS_FLOOR,
+                components=k,
                 **quad,
-            )
-            total += v
-            err += e
+            ))
             start = b
         if T > start:
-            v, e = adaptive_gauss_legendre(
+            parts.append(adaptive_gauss_legendre(
                 f,
                 start,
                 T,
                 tol,
                 sorted(b for b in breaks if start < b < T),
                 abs_floor=_QUAD_ABS_FLOOR,
+                components=k,
                 **quad,
-            )
-            total += v
-            err += e
-        # exponential-envelope tail bound beyond T
-        f_T = float(f(np.array([T]))[0]) if vec else f(T)
-        err += 4.0 * abs(f_T)
-        return total, err
+            ))
+        f_T = [float(v) for v in f(np.array([T]))[:, 0]] if vec else f(T)
+        out = []
+        for c in range(k):
+            total = 0.0
+            err = 0.0
+            for part in parts:
+                total += part[c][0]
+                err += part[c][1]
+            # exponential-envelope tail bound beyond T
+            err += 4.0 * abs(f_T[c])
+            out.append((total, err))
+        return out
+
+    def _integrate_edges(self, ps: tuple[int, ...], lo: float) -> None:
+        """int_lo^inf w_a(s) ds/sqrt(s), a = (-1/2, +1/2)[p], with its error,
+        for every p in ``ps`` as the components of one integral."""
+        out = self._integrate(
+            lambda s: np.array([self._wa(p, s) for p in ps]) / np.sqrt(s),
+            len(ps),
+            lo,
+            _tail_T(lo),
+        )
+        self._edges.update(((p, lo), v) for p, v in zip(ps, out))
 
     def _edge(self, p: int, lo: float) -> tuple[float, float]:
-        """int_lo^inf w_a(s) ds/sqrt(s), a = (-1/2, +1/2)[p], with its error."""
-        key = (p, lo)
-        if key not in self._edges:
-            self._edges[key] = self._integrate(
-                lambda s: self._wa(p, s) / np.sqrt(s), lo, _tail_T(lo)
-            )
-        return self._edges[key]
+        """A(lo) (p = 0) or B(lo) (p = 1), with its error."""
+        if (p, lo) not in self._edges:
+            self._integrate_edges((p,), lo)
+        return self._edges[(p, lo)]
+
+    def prepare(self, points) -> None:
+        """Integrate A and B at every point as one pair, for an assembly,
+        whose blocks need both at each of its points; a lone
+        ``block(x, y)`` integrates only A(x) and B(y).  Points outside the
+        validated range are left to ``block`` to refuse."""
+        if self.zero:
+            return
+        for lo in _in_range(points):
+            if (0, lo) not in self._edges or (1, lo) not in self._edges:
+                self._integrate_edges((0, 1), lo)
 
     def _kernel_integrals(self, x: float, y: float) -> tuple[float, float, float]:
-        """(I0, I1, err): int_x^inf K(s,y)/sqrt(s) ds and the same with dK/dy."""
+        """(I0, I1, err): int_x^inf K(s,y)/sqrt(s) ds and the same with dK/dy,
+        integrated as one pair."""
         key = (x, y)
         if key not in self._integrals:
-            T = _tail_T(max(x, y))
-            breaks = self._breaks(y)
-            i0, e0 = self._integrate(
-                lambda s: self._kernels(s, y, False) / np.sqrt(s), x, T, breaks
-            )
-            i1, e1 = self._integrate(
-                lambda s: self._kernels(s, y, True) / np.sqrt(s), x, T, breaks
+            (i0, e0), (i1, e1) = self._integrate(
+                lambda s: np.asarray(self._kernels(s, y)) / np.sqrt(s),
+                2,
+                x,
+                _tail_T(max(x, y)),
+                self._breaks(y),
             )
             self._integrals[key] = (i0, i1, e0 + e1)
         return self._integrals[key]
@@ -349,36 +392,30 @@ class _MpmathKernel(_BlockPipeline):
             self._derivs[y] = tuple(rows)
         return self._derivs[y]
 
-    def _kernels(self, s: float, y: float, dy: bool) -> float:
-        """K(s, y), or dK/dy when ``dy``, at one node s."""
+    def _kernels(self, s: float, y: float) -> tuple[float, float]:
+        """(K(s, y), dK/dy(s, y)) at one node s."""
         C = self.params.big_c
         wm, wp = self._at(y)
         d = s - y
         if abs(d) >= _DIAG_EPS_SCALE * max(1.0, y):
             wms, wps = self._wa(0, s), self._wa(1, s)
             num = wms * wp[0] - wps * wm[0]
-            if not dy:
-                return C * num / d
             num_y = wms * wp[1] - wps * wm[1]
-            return C * (num_y / d + num / (d * d))
+            return C * num / d, C * (num_y / d + num / (d * d))
+        w10 = wm[1] * wp[0] - wp[1] * wm[0]
         w20 = wm[2] * wp[0] - wp[2] * wm[0]
         w30 = wm[3] * wp[0] - wp[3] * wm[0]
-        if not dy:
-            w10 = wm[1] * wp[0] - wp[1] * wm[0]
-            return C * (w10 + 0.5 * d * w20 + d * d * w30 / 6.0)
         w21 = wm[2] * wp[1] - wp[2] * wm[1]
-        return C * (0.5 * w20 + d * (w30 / 6.0 + 0.5 * w21))
+        return (
+            C * (w10 + 0.5 * d * w20 + d * d * w30 / 6.0),
+            C * (0.5 * w20 + d * (w30 / 6.0 + 0.5 * w21)),
+        )
 
     def _breaks(self, y: float) -> tuple[float, ...]:
         return (y,)
 
     def _point(self, x: float, y: float) -> tuple[float, float, float, float]:
-        return (
-            self._kernels(x, y, False),
-            self._kernels(x, y, True),
-            self._wa(0, x),
-            self._at(y)[1][0],
-        )
+        return (*self._kernels(x, y), self._wa(0, x), self._at(y)[1][0])
 
 
 # the mpmath route at the two most recent z, like ``measures._engine``
@@ -492,10 +529,16 @@ class KernelContext(_BlockPipeline):
     (``_powers``); the step tables form them in long double, so the
     continuation collects one rounding per power, as with ``pow``.
 
+    The table values (w_-, w_+) at each array of quadrature nodes are kept
+    for the life of the context: the integrals of an assembly visit many
+    panels more than once (every integral from below 40 walks the same tree
+    on [40, 140]), and read them back instead of summing the tables again.
+
     Near the diagonal, |s - y| <= min(y/2, 4), K(s, y) and dK/dy are summed
     from the series of w_-+ re-centred at y, in which the 1/(s - y) cancels
-    term by term; outside that window they are the plain quotients.  Its
-    integrands take arrays of nodes.
+    term by term; outside that window they are the plain quotients.
+    ``prepare`` builds the series of several y with one ``_taylor_basis``
+    call.  Its integrands take arrays of nodes.
     """
 
     _VECTORIZED = True
@@ -503,6 +546,7 @@ class KernelContext(_BlockPipeline):
     def __init__(self, params: KernelParams):
         super().__init__(params)
         self._series_cache: dict[float, _DiagonalSeries] = {}
+        self._w_memo: dict[bytes, np.ndarray] = {}
         if self.zero:
             return
         self._ks = np.array([params.whittaker_k(a) for a in _HALF_INTEGERS])
@@ -526,20 +570,26 @@ class KernelContext(_BlockPipeline):
         # d/dtau tau^n = n tau^(n-1): the table shifted one term, times n
         dpw = np.zeros_like(pw)
         dpw[:, 1:] = pw[:, :-1] * np.arange(1, _TAYLOR_TERMS)
-        val = np.einsum("nbpj,jn->bpj", al[..., :-1], pw)
-        der = np.einsum("nbpj,jn->bpj", al[..., :-1], dpw)
-        npairs = len(self._ks)
-        w = np.zeros((npairs, len(cs)))
-        cw1 = np.zeros((npairs, len(cs)))  # c W'(c)
+        val = np.einsum("nbpj,jn->bpj", al[..., :-1], pw).tolist()
+        der = np.einsum("nbpj,jn->bpj", al[..., :-1], dpw).tolist()
+        c = cs.tolist()
         m = self.params.whittaker_m
+        w = []  # W(c) along the centres, per pair
+        cw1 = []  # c W'(c)
         for p, k in enumerate(self._ks):
-            w[p, 0] = whittaker_W(k, m, X_MAX)
-            cw1[p, 0] = X_MAX * whittaker_W_deriv(k, m, X_MAX)
-        for j in range(len(cs) - 1):
-            w[:, j + 1] = w[:, j] * val[0, :, j] + cw1[:, j] * val[1, :, j]
-            dw_dtau = w[:, j] * der[0, :, j] + cw1[:, j] * der[1, :, j]
-            cw1[:, j + 1] = dw_dtau * cs[j + 1] / cs[j]
-        coef = w[None] * al[:, 0] + cw1[None] * al[:, 1]
+            wj = whittaker_W(k, m, X_MAX)
+            cwj = X_MAX * whittaker_W_deriv(k, m, X_MAX)
+            wp, cwp = [wj], [cwj]
+            for j in range(len(c) - 1):
+                wj, cwj = (
+                    wj * val[0][p][j] + cwj * val[1][p][j],
+                    (wj * der[0][p][j] + cwj * der[1][p][j]) * c[j + 1] / c[j],
+                )
+                wp.append(wj)
+                cwp.append(cwj)
+            w.append(wp)
+            cw1.append(cwp)
+        coef = np.array(w)[None] * al[:, 0] + np.array(cw1)[None] * al[:, 1]
         # centres ascending; coefficients (pair, centre, n)
         self._centres = cs[::-1].copy()
         self._coef = np.ascontiguousarray(coef[..., ::-1].transpose(1, 2, 0))
@@ -562,61 +612,79 @@ class KernelContext(_BlockPipeline):
         return w, dw / self._centres[i]
 
     def _w(self, x: np.ndarray) -> np.ndarray:
-        """(w_-(x), w_+(x)) as rows of a (2, len(x)) array."""
-        i, tau = self._locate(x)
-        w = np.einsum("psn,sn->ps", self._coef[:, i, :], _powers(tau))
-        return w * (self._pref[:, None] / np.sqrt(x))
+        """(w_-(x), w_+(x)) as rows of a (2, len(x)) array, kept by the
+        nodes' bytes; callers must not write to it."""
+        key = x.tobytes()
+        w = self._w_memo.get(key)
+        if w is None:
+            i, tau = self._locate(x)
+            w = np.einsum("psn,sn->ps", self._coef[:, i, :], _powers(tau))
+            w = self._w_memo[key] = w * (self._pref[:, None] / np.sqrt(x))
+        return w
 
-    def _series(self, y: float) -> _DiagonalSeries:
-        ser = self._series_cache.get(y)
-        if ser is not None:
-            return ser
-        w, dw = self.whittaker([y])
-        al = _taylor_basis([y], self._ks, self._m2)[..., 0]
-        coef_W = w[:, 0] * al[:, 0] + (y * dw[:, 0]) * al[:, 1]  # (n, pair)
+    def prepare(self, points) -> None:
+        """Build the diagonal series of every point not built yet, with one
+        ``whittaker`` and one ``_taylor_basis`` call for all of them, then
+        integrate A and B at every point as one pair.  Each column of those
+        calls is independent, so every series is the one a lone y gets."""
+        if self.zero:
+            return
+        ys = [y for y in _in_range(points) if y not in self._series_cache]
+        if ys:
+            self._series_batch(ys)
+        super().prepare(points)
+
+    def _series_batch(self, ys: list[float]) -> None:
+        w, dw = self.whittaker(ys)
+        al = _taylor_basis(ys, self._ks, self._m2)
         # (y (1 + tau))^{-1/2} = y^{-1/2} sum_n binom(-1/2, n) tau^n
         n = np.arange(1, _TAYLOR_TERMS)
-        g = np.cumprod(np.r_[1.0, (0.5 - n) / n]) / math.sqrt(y)
-        bm, bp = (
-            self._pref[p] * np.convolve(coef_W[:, p], g)[:_TAYLOR_TERMS]
-            for p in range(2)
-        )
-        # w_-(s) w_+(y) - w_+(s) w_-(y) = sum_n d_n tau^n with d_0 = 0, and
-        # w_-(s) w_+'(y) - w_+(s) w_-'(y) = sum_n e_n tau^n / y with e_1 = 0
-        d = bm * bp[0] - bp * bm[0]
-        e = bm * bp[1] - bp * bm[1]
+        binom = np.cumprod(np.r_[1.0, (0.5 - n) / n])
         C = self.params.big_c
-        ser = _DiagonalSeries(
-            window=min(0.5 * y, _STEP_MAX),
-            k_coef=(C / y) * d[1:],
-            ky_coef=(C / (y * y)) * (d[2:] + e[1:-1]),
-            wm=float(bm[0]),
-            wp=float(bp[0]),
-            dwm=float(bm[1] / y),
-            dwp=float(bp[1] / y),
-        )
-        self._series_cache[y] = ser
-        return ser
+        for j, y in enumerate(ys):
+            coef_W = w[:, j] * al[:, 0, :, j] + (y * dw[:, j]) * al[:, 1, :, j]  # (n, pair)
+            g = binom / math.sqrt(y)
+            bm, bp = (
+                self._pref[p] * np.convolve(coef_W[:, p], g)[:_TAYLOR_TERMS]
+                for p in range(2)
+            )
+            # w_-(s) w_+(y) - w_+(s) w_-(y) = sum_n d_n tau^n with d_0 = 0, and
+            # w_-(s) w_+'(y) - w_+(s) w_-'(y) = sum_n e_n tau^n / y with e_1 = 0
+            d = bm * bp[0] - bp * bm[0]
+            e = bm * bp[1] - bp * bm[1]
+            self._series_cache[y] = _DiagonalSeries(
+                window=min(0.5 * y, _STEP_MAX),
+                k_coef=(C / y) * d[1:],
+                ky_coef=(C / (y * y)) * (d[2:] + e[1:-1]),
+                wm=float(bm[0]),
+                wp=float(bp[0]),
+                dwm=float(bm[1] / y),
+                dwp=float(bp[1] / y),
+            )
 
-    def _kernels(self, s: np.ndarray, y: float, dy: bool) -> np.ndarray:
-        """K(s, y), or dK/dy when ``dy``, on an array of s."""
+    def _series(self, y: float) -> _DiagonalSeries:
+        if y not in self._series_cache:
+            self._series_batch([y])
+        return self._series_cache[y]
+
+    def _kernels(self, s: np.ndarray, y: float) -> np.ndarray:
+        """(K(s, y), dK/dy(s, y)) as rows of a (2, len(s)) array."""
         ser = self._series(y)
         d = s - y
         near = np.abs(d) <= ser.window
-        out = np.empty_like(d)
+        out = np.empty((2,) + d.shape)
         if near.any():
-            coef = ser.ky_coef if dy else ser.k_coef
-            out[near] = _powers(d[near] / y, len(coef)) @ coef
+            tau = d[near] / y
+            out[0, near] = _powers(tau, len(ser.k_coef)) @ ser.k_coef
+            out[1, near] = _powers(tau, len(ser.ky_coef)) @ ser.ky_coef
         far = ~near
         if far.any():
             df = d[far]
-            wm, wp = self._w(s[far])
+            wm, wp = self._w(s)[:, far]
             num = wm * ser.wp - wp * ser.wm
-            if dy:
-                num_y = wm * ser.dwp - wp * ser.dwm
-                out[far] = self.params.big_c * (num_y / df + num / (df * df))
-            else:
-                out[far] = self.params.big_c * num / df
+            num_y = wm * ser.dwp - wp * ser.dwm
+            out[0, far] = self.params.big_c * num / df
+            out[1, far] = self.params.big_c * (num_y / df + num / (df * df))
         return out
 
     def _wa(self, p: int, s: np.ndarray) -> np.ndarray:
@@ -628,12 +696,8 @@ class KernelContext(_BlockPipeline):
 
     def _point(self, x: float, y: float) -> tuple[float, float, float, float]:
         s = np.array([x])
-        return (
-            float(self._kernels(s, y, False)[0]),
-            float(self._kernels(s, y, True)[0]),
-            float(self._wa(0, s)[0]),
-            self._series(y).wp,
-        )
+        k, ky = self._kernels(s, y)[:, 0]
+        return float(k), float(ky), float(self._w(s)[0, 0]), self._series(y).wp
 
 
 # the tables at the two most recent z, like ``_mpmath_kernel``: a context's

@@ -10,7 +10,7 @@ of circles is the exponent of the t-measure weight.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .errors import DomainError, ParameterError, ResourceCapError
 
@@ -31,6 +31,14 @@ class Matching:
     def from_pairs(pairs) -> "Matching":
         canon = tuple(sorted(tuple(sorted(p)) for p in pairs))
         return Matching(canon)
+
+    @staticmethod
+    def _canonical(pairs: tuple[tuple[int, int], ...]) -> "Matching":
+        """A matching from pairs already known to be canonical and to
+        partition the signed symbols, without sorting or validating them."""
+        out = Matching.__new__(Matching)
+        object.__setattr__(out, "pairs", pairs)
+        return out
 
     def __post_init__(self):
         seen = set()
@@ -68,18 +76,18 @@ def enumerate_matchings(n: int) -> list[Matching]:
             f"matching enumeration capped at n <= {MATCHING_ENUMERATION_CAP}, got {n}"
         )
 
-    def rec(remaining: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
-        if not remaining:
-            yield ()
-            return
-        first = remaining[0]
-        for idx in range(1, len(remaining)):
-            mate = remaining[idx]
-            rest = remaining[1:idx] + remaining[idx + 1 :]
-            for tail in rec(rest):
-                yield ((first, mate),) + tail
-
-    return [Matching.from_pairs(ps) for ps in rec(tuple(symbols(n)))]
+    # (pairs so far, unmatched symbols in increasing order), one level per
+    # pair; expanding every state in turn keeps the depth-first order
+    states = [((), tuple(symbols(n)))]
+    for _ in range(n):
+        states = [
+            (pairs + ((rest[0], rest[i]),), rest[1:i] + rest[i + 1 :])
+            for pairs, rest in states
+            for i in range(1, len(rest))
+        ]
+    # each pair is (smallest unmatched symbol, a larger one), so the pairs
+    # come out sorted and already canonical
+    return [Matching._canonical(pairs) for pairs, _ in states]
 
 
 def cycle_count(x: Matching) -> int:
@@ -89,19 +97,25 @@ def cycle_count(x: Matching) -> int:
     partner(s), then -partner(s), and so on.  Each circle is seen once
     when starting points run over unvisited positive symbols.
     """
-    partner = x.partner_map()
-    visited: set[int] = set()
+    n = len(x.pairs)
+    # flat lists of length 2n + 1 indexed by the symbol itself: s in 1..n at
+    # positions 1..n, -s at position 2n + 1 - s by negative indexing
+    partner = [0] * (2 * n + 1)
+    for a, b in x.pairs:
+        partner[a] = b
+        partner[b] = a
+    visited = [False] * (2 * n + 1)
     circles = 0
-    for start in range(1, x.n + 1):
-        if start in visited:
+    for start in range(1, n + 1):
+        if visited[start]:
             continue
         circles += 1
-        # s -> -partner(s) is a bijection, so the walk closes at start
+        # s -> -partner(s) is a bijection, so the walk closes at start, and
+        # the last step marks start itself
         s = start
         while True:
             t = partner[s]
-            visited.add(abs(s))
-            visited.add(abs(t))
+            visited[t] = visited[-t] = True
             s = -t
             if s == start:
                 break

@@ -127,10 +127,13 @@ def assemble(
 
     Given ``KernelParams`` the blocks are ``matrix_kernel`` values (the
     mpmath reference route); given a ``KernelContext`` they come from its
-    Taylor tables.  Every block is computed independently; if the result
-    fails antisymmetry beyond ASSEMBLY_TOL the kernel values are
-    inconsistent and a NumericalError is raised rather than silently
-    repairing them.
+    Taylor tables, after ``KernelContext.prepare`` has built the diagonal
+    series of all points in one batch and integrated A and B at each point
+    as one pair.  Blocks share work but not values: each block's integrals
+    are the floats that block alone would get, so the matrix is not made
+    antisymmetric by construction.  If it fails antisymmetry beyond
+    ASSEMBLY_TOL the kernel values are inconsistent and a NumericalError is
+    raised rather than silently repairing them.
     """
     xs = [float(x) for x in points]
     if not all(0 < x < math.inf for x in xs):
@@ -138,6 +141,7 @@ def assemble(
     if len(set(xs)) != len(xs):
         raise DomainError(f"points must be distinct, got {xs}")
     if isinstance(kernel, KernelContext):
+        kernel.prepare(xs)
         block = kernel.block
     else:
         def block(x, y):

@@ -384,11 +384,15 @@ def _integral(k: complex, m: complex, x: float) -> complex:
 
 
 def _quad_complex(f, lo, hi, tol, breaks=()) -> complex:
-    re, _ = adaptive_gauss_legendre(
-        lambda t: f(t).real, lo, hi, tol, breaks, abs_floor=_QUAD_ABS_FLOOR
-    )
-    im, _ = adaptive_gauss_legendre(
-        lambda t: f(t).imag, lo, hi, tol, breaks, abs_floor=_QUAD_ABS_FLOOR
+    """The real and imaginary parts as the two components of one integrand,
+    each on its own panel tree, so f is called once per node."""
+
+    def parts(t: float) -> tuple[float, float]:
+        v = f(t)
+        return v.real, v.imag
+
+    (re, _), (im, _) = adaptive_gauss_legendre(
+        parts, lo, hi, tol, breaks, abs_floor=_QUAD_ABS_FLOOR, components=2
     )
     return complex(re, im)
 

@@ -204,6 +204,26 @@ def test_theta_one_scaling_limit_extrapolated(z):
     assert abs(cubic - 1) <= abs(ratios[-1] - 1) / 10, (cubic, ratios)
 
 
+@pytest.mark.parametrize("z", [0.3 + 0.4j, 0.6 - 0.5j, 1 + 0.2j])
+def test_theta_one_two_point_scaling_limit_extrapolated(z):
+    # The two-point version on the same exact rungs: lattice points (x, 3x)
+    # with xi = 1 - 1/x sit at u = (1, 3), and the rescaled theta = 1
+    # two-point function over det[K(u_i, u_j)] is extrapolated to h = 1/x -> 0
+    # by a cubic through all four rungs.
+    ctx = KernelContext(KernelParams(z))
+    k11, k13, k31, k33 = (ctx.kernel(a, b)[0] for a in (1.0, 3.0) for b in (1.0, 3.0))
+    det = k11 * k33 - k13 * k31
+    xs = [Fraction(25, 2), Fraction(51, 2), Fraction(101, 2), Fraction(201, 2)]
+    ratios = []
+    for x in xs:
+        xi = float(1 - 1 / x)
+        rho = schur_correlation([x, 3 * x], ZParams(2 * z, 1, xi))
+        ratios.append(rho / (1 - xi) ** 2 / det)
+    cubic = _neville_at_zero([float(1 / x) for x in xs], ratios)
+    assert abs(cubic - 1) <= 2e-2, (cubic, ratios)
+    assert abs(cubic - 1) <= abs(ratios[-1] - 1) / 10, (cubic, ratios)
+
+
 def test_continuum_correlation_refuses_non_finite_points():
     for pts in ([math.nan], [1.0, math.inf]):
         with pytest.raises(DomainError, match="points must be positive and finite"):

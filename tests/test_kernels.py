@@ -1,5 +1,7 @@
+import gc
 import math
 import time
+import weakref
 from fractions import Fraction
 from functools import lru_cache
 
@@ -313,6 +315,75 @@ _CONTINUUM_GOLDENS = [
 @pytest.mark.parametrize("points, z, golden", _CONTINUUM_GOLDENS)
 def test_continuum_correlation_pinned_values(points, z, golden):
     assert continuum_correlation(points, z) == pytest.approx(float.fromhex(golden), rel=1e-10)
+
+
+# continuum_correlation values, as float.hex, recorded before the integrals of
+# a pair shared their evaluations and a context kept its table values per
+# panel: one to three points, a point below 1 (sqrt substitution), points
+# above 40 (another tail cut-off), a pair 1e-3 apart, the three close points
+# of pool op c061 and an identically zero z
+_CONTINUUM_HEX = [
+    ([1.0], 0.3 + 0.4j, "0x1.23363eb38cba4p-7"),
+    ([0.35], 1 + 0.2j, "0x1.e1113ae95ddfep-9"),
+    ([45.0], 0.3 + 0.4j, "0x1.6486b3c705800p-88"),
+    ([0.5, 2.0], 0.3 + 0.4j, "0x1.ceafb2e9002ddp-23"),
+    ([0.6, 0.601], 0.3 + 0.4j, "0x1.e6fd708f34554p-56"),
+    ([41.0, 44.0], 0.3 + 0.4j, "-0x1.e5acb799b23e2p-200"),
+    ([1.5, 2.5], 2 + 0.5j, "0x1.f25d67d1129d3p-50"),
+    ([0.7, 1.9, 3.2], 0.9 - 1.3j, "0x1.de0917baeb1b2p-36"),
+    ([0.004, 0.9, 12.0], 0.3 + 0.4j, "0x1.ac59c0f42e72dp-41"),
+    ([0.9, 1.1, 2.0], 0.6 - 0.5j, "0x1.017d7f49128dbp-66"),
+    ([2.575, 2.605, 2.723], 0.0336 - 1.0604j, "0x0.0p+0"),
+    ([1.0, 2.0], 1.5, "0x0.0p+0"),
+]
+
+
+def test_continuum_correlation_bit_identical(monkeypatch):
+    # in one context per z, as the cases share z, and in a fresh one per case
+    monkeypatch.setattr(kernels, "_context", lru_cache(maxsize=2)(KernelContext))
+    for points, z, golden in _CONTINUUM_HEX:
+        assert continuum_correlation(points, z).hex() == golden, (points, z)
+        fresh = pfaffian(assemble(points, KernelContext(KernelParams(z))))
+        assert fresh.hex() == golden, (points, z)
+
+
+def test_context_reads_table_values_back():
+    # the tables are summed once per array of nodes, and once more for the
+    # series of the points; the integrals of an assembly ask for many of
+    # those arrays more than once
+    ctx = KernelContext(P_COMPLEX)
+    points = [0.7, 1.9, 3.2]
+    sums, calls = [], []
+    locate, w = ctx._locate, ctx._w
+
+    def counted_locate(x):
+        sums.append(x.tobytes())
+        return locate(x)
+
+    def counted_w(x):
+        calls.append(x.tobytes())
+        return w(x)
+
+    ctx._locate, ctx._w = counted_locate, counted_w
+    value = pfaffian(assemble(points, ctx))
+    assert len(set(sums)) == len(sums) == len(ctx._w_memo) + 1
+    assert set(calls) == set(ctx._w_memo)
+    assert len(calls) > 1.5 * len(ctx._w_memo)
+    assert value.hex() == pfaffian(assemble(points, KernelContext(P_COMPLEX))).hex()
+
+
+def test_context_memo_dropped_with_its_context(monkeypatch):
+    monkeypatch.setattr(kernels, "_context", lru_cache(maxsize=2)(KernelContext))
+    first = continuum_correlation([0.7, 1.9], 0.3 + 0.4j)
+    ctx = kernels._context(P_COMPLEX)
+    assert ctx._w_memo and ctx._series_cache
+    memo = weakref.ref(next(iter(ctx._w_memo.values())))
+    ctx = weakref.ref(ctx)
+    for z in (1.0 + 0.2j, 0.6 - 0.5j):
+        continuum_correlation([0.7, 1.9], z)
+    gc.collect()
+    assert ctx() is None and memo() is None
+    assert continuum_correlation([0.7, 1.9], 0.3 + 0.4j).hex() == first.hex()
 
 
 # repr of every public kernel value at three z and four (x, y), recorded before
