@@ -13,7 +13,7 @@ import json
 import sys
 
 from .correlations import continuum_correlation  # noqa: F401 (perfbench/tracing.py wraps it here)
-from .correlations import verify_limit
+from .correlations import DEFAULT_NMAX, verify_limit
 from .errors import DomainError, NumericalError, ZMeasuresError
 from .gelfand import (
     coset_type,
@@ -338,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--z", type=_parse_complex, required=True)
     sp.add_argument("--u", type=_parse_float_list, required=True)
     sp.add_argument("--xi", required=True, help="comma-separated ladder, e.g. 0.8,0.85,0.9")
-    sp.add_argument("--nmax", type=int, default=80)
+    sp.add_argument("--nmax", type=int, default=DEFAULT_NMAX)
     _add_common(sp)
     sp.set_defaults(fn=_cmd_verify_limit)
 

@@ -10,11 +10,10 @@ and zonal spherical functions are exact rationals.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import DomainError, ParameterError, ResourceCapError
 from .measures import ZParams, z_measure
@@ -25,10 +24,6 @@ CHARACTER_CAP = 8  # 2n
 ZONAL_CAP = 4  # n
 
 Perm = tuple[int, ...]
-
-
-def identity_perm(size: int) -> Perm:
-    return tuple(range(size))
 
 
 def compose(a: Perm, b: Perm) -> Perm:
@@ -66,27 +61,6 @@ def cycle_type(g: Perm) -> tuple[int, ...]:
             ln += 1
         lens.append(ln)
     return tuple(sorted(lens, reverse=True))
-
-
-def all_permutations(size: int) -> Iterator[Perm]:
-    return itertools.permutations(range(size))
-
-
-class SignedPermutationDomainMap:
-    """Fixed bijection between the signed symbols {-n..-1,1..n} and the
-    1-based labels {1..2n}: -i <-> 2i-1 and i <-> 2i."""
-
-    @staticmethod
-    def to_symbol(label: int) -> int:
-        if label < 1:
-            raise DomainError(f"labels are 1-based, got {label}")
-        return label // 2 if label % 2 == 0 else -(label + 1) // 2
-
-    @classmethod
-    def perm_to_signed(cls, g: Perm) -> dict[int, int]:
-        return {
-            cls.to_symbol(i + 1): cls.to_symbol(g[i] + 1) for i in range(len(g))
-        }
 
 
 @dataclass(frozen=True)
@@ -192,18 +166,6 @@ def character_S2n(mu: tuple[int, ...], cls: tuple[int, ...]) -> int:
     if n_mu > CHARACTER_CAP:
         raise ResourceCapError(f"characters capped at S({CHARACTER_CAP})")
     return _mn_character(mu, cls)
-
-
-def class_size(cls: tuple[int, ...]) -> int:
-    """Size of the conjugacy class with cycle type ``cls`` in S(sum)."""
-    n = sum(cls)
-    mult: dict[int, int] = {}
-    for k in cls:
-        mult[k] = mult.get(k, 0) + 1
-    denom = 1
-    for k, m in mult.items():
-        denom *= k**m * math.factorial(m)
-    return math.factorial(n) // denom
 
 
 def hyperoctahedral_group(n: int) -> list[Perm]:

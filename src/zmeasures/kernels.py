@@ -21,14 +21,14 @@ limits); S_y differentiates under the integral sign.  Semi-infinite tails
 are truncated at T inside the validated Whittaker domain with an
 exponential-envelope bound carried in the reported error estimate.
 
-One block pipeline (``_BlockPipeline``) owns, per z, the edge integrals
-A, B and the kernel integrals, and turns them into blocks by the S formulas
-with one adaptive quadrature and one tail bound.  Integrals over the same
-nodes are the components of one integrand: (K, dK/dy)/sqrt(s) at one (x, y),
-and, for the points of an assembly (``prepare``), (w_-, w_+)/sqrt(s) at one
-lower limit.  Each component keeps its own panel tree, so its value and
-error are the floats it gets when integrated alone.  Two sources of W feed
-the pipeline:
+One block pipeline (``_BlockPipeline``) owns, per z, the edge integrals A,
+B and the kernel integrals, and turns them into blocks by the S formulas
+with one adaptive quadrature, at the fixed tolerance ``_QUAD_TOL`` = 1e-10,
+and one tail bound.  Integrals over the same nodes are the components of
+one integrand: (K, dK/dy)/sqrt(s) at one (x, y), and, for the points of an
+assembly (``prepare``), (w_-, w_+)/sqrt(s) at one lower limit.  Each
+component keeps its own panel tree, so its value and error are the floats
+it gets when integrated alone.  Two sources of W feed the pipeline:
 
 * ``_MpmathKernel`` evaluates every w_a(s) through ``specfun.whittaker_W``
   (mpmath below x = 40), one node at a time, and takes K and dK/dy from
@@ -60,7 +60,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, UnvalidatedDomainError, validate_z
+from .errors import DomainError, UnvalidatedDomainError, validate_z
 from .partitions import half_integer
 from .quadrature import adaptive_gauss_legendre
 from .specfun import (
@@ -77,6 +77,7 @@ from .specfun import (
 KERNEL_X_MIN = 1e-3
 KERNEL_X_MAX = 190.0
 _DIAG_EPS_SCALE = 1e-6
+_QUAD_TOL = 1e-10
 _QUAD_ABS_FLOOR = 1e-20
 # relative accuracy of the table integrands: K and dK/dy near the window edge
 # lose up to two digits to cancellation in w_-(s) w_+(y) - w_+(s) w_-(y)
@@ -90,7 +91,6 @@ class KernelParams:
     taken at the conjugate pair (z1, z2) = (-2z, -2 zbar)."""
 
     z: complex
-    tol: float = 1e-10
 
     def __post_init__(self):
         z = validate_z(self.z)
@@ -102,13 +102,6 @@ class KernelParams:
             raise UnvalidatedDomainError(
                 f"z = {z} pushes Whittaker indices outside the validated box"
             )
-        if not 0 < self.tol <= 1e-6:
-            raise ParameterError(f"tol must lie in (0, 1e-6], got {self.tol}")
-
-    @property
-    def c(self) -> float:
-        """sqrt(z zbar), read as the positive root |z|."""
-        return abs(complex(self.z))
 
     @property
     def big_c(self) -> float:
@@ -213,7 +206,6 @@ class _BlockPipeline:
         quad = {"vectorized": True, "rel_floor": _TABLE_REL_FLOOR} if vec else {}
         if T <= lo:
             return [(0.0, 0.0)] * k
-        tol = self.params.tol
         breaks = set(b for b in inner_breaks if lo < b < T)
         breaks.add(ASYMPTOTIC_X)
         parts = []
@@ -226,7 +218,7 @@ class _BlockPipeline:
                 lambda u: 2.0 * u * f(lo + u * u),
                 0.0,
                 u_hi,
-                tol,
+                _QUAD_TOL,
                 u_breaks,
                 abs_floor=_QUAD_ABS_FLOOR,
                 components=k,
@@ -238,7 +230,7 @@ class _BlockPipeline:
                 f,
                 start,
                 T,
-                tol,
+                _QUAD_TOL,
                 sorted(b for b in breaks if start < b < T),
                 abs_floor=_QUAD_ABS_FLOOR,
                 components=k,

@@ -76,7 +76,7 @@ from .partitions import (
     column_shifts,
     half_integer,
     hook_rows,
-    iter_partition_tuples,  # noqa: F401  (re-exported; callers look it up here)
+    iter_partition_tuples,
 )
 
 LATTICE_NMAX_CAP = 200
@@ -237,7 +237,7 @@ class _MeasureEngine:
 
 
 # two entries: callers loop over diagrams at one (z, theta), or at one and
-# its dual (-z/theta, 1/theta) in z_measure_symmetry_check
+# its dual (-z/theta, 1/theta) when they check the duality of the measure
 _engine = functools.lru_cache(maxsize=2)(_MeasureEngine)
 
 
@@ -246,15 +246,6 @@ def z_measure(lam: YoungDiagram, p: ZParams) -> float:
     if lam.size == 0:
         raise DomainError("z-measure requires |lam| >= 1")
     return _engine(p.z, float(p.theta)).measure(lam.parts)
-
-
-def z_measure_symmetry_check(lam: YoungDiagram, p: ZParams) -> tuple[float, float]:
-    """Both sides of M_{z,theta}(lam) = M_{-z/theta, 1/theta}(lam')."""
-    lhs = z_measure(lam, p)
-    th = float(p.theta)
-    dual = ZParams(-p.z / th, 1.0 / th, p.xi)
-    rhs = z_measure(lam.transpose(), dual)
-    return (lhs, rhs)
 
 
 def negative_binomial_weight(n: int, p: ZParams) -> float:
@@ -549,18 +540,6 @@ def _stratum_measures(
     # the order iter_partition_tuples yields, so that sums are bit-stable
     order = np.lexsort(parts.T[::-1])[::-1]
     return parts[order], m[order].tolist()
-
-
-def _stratum_terms(
-    n: int,
-    eng: _MeasureEngine,
-    shifts: Sequence[int],
-    target_bs: tuple[int, ...],
-) -> list[tuple[tuple[int, ...], float]]:
-    """(parts, measure) for each diagram ``_stratum_measures`` returns, in
-    its order."""
-    parts, m = _stratum_measures(n, eng, shifts, target_bs)
-    return [(tuple(int(v) for v in row if v), mv) for row, mv in zip(parts, m)]
 
 
 def _stratum_sum(

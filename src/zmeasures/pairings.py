@@ -9,6 +9,7 @@ of circles is the exponent of the t-measure weight.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -57,13 +58,6 @@ class Matching:
     @property
     def n(self) -> int:
         return len(self.pairs)
-
-    def partner_map(self) -> dict[int, int]:
-        m = {}
-        for a, b in self.pairs:
-            m[a] = b
-            m[b] = a
-        return m
 
 
 def enumerate_matchings(n: int) -> list[Matching]:
@@ -135,20 +129,22 @@ def t_measure(x: Matching, t: float) -> float:
 
 def project(xp: Matching) -> Matching:
     """Canonical projection X(n+1) -> X(n): delete the pair {-n-1, n+1},
-    or splice the two pairs containing -n-1 and n+1 into one."""
+    or splice the two pairs containing -n-1 and n+1 into one.
+
+    -n-1 is the smallest symbol, so it opens the first pair, and n+1 the
+    largest, so it closes its pair.  The other pairs stay canonical, and
+    the spliced pair is inserted in its sorted place, so the result needs
+    no sorting and no validation."""
     n1 = xp.n
     if n1 < 2:
         raise DomainError("projection needs n+1 >= 2")
-    top, bot = n1, -n1
-    partner = xp.partner_map()
-    if partner[top] == bot:
-        pairs = [p for p in xp.pairs if top not in p and bot not in p]
-        return Matching.from_pairs(pairs)
-    i_m = partner[bot]
-    i_k = partner[top]
-    pairs = [p for p in xp.pairs if top not in p and bot not in p]
-    pairs.append((i_m, i_k))
-    return Matching.from_pairs(pairs)
+    i_m = xp.pairs[0][1]
+    pairs = list(xp.pairs[1:])
+    if i_m != n1:
+        i_k = next(a for a, b in pairs if b == n1)
+        pairs.remove((i_k, n1))
+        bisect.insort(pairs, (i_m, i_k) if i_m < i_k else (i_k, i_m))
+    return Matching._canonical(tuple(pairs))
 
 
 def act(x: Matching, g: Mapping[int, int]) -> Matching:
@@ -184,11 +180,3 @@ def cocycle(x: Matching, g: Mapping[int, int], support: int | None = None) -> in
             raise DomainError(f"g moves symbol {s} outside its declared support")
     gm = extend_permutation(g, m)
     return cycle_count(act(x, gm)) - cycle_count(x)
-
-
-def preimages(x: Matching, level_up: list[Matching] | None = None) -> list[Matching]:
-    """All elements of X(n+1) projecting onto x."""
-    n = x.n
-    if level_up is None:
-        level_up = enumerate_matchings(n + 1)
-    return [xp for xp in level_up if project(xp) == x]

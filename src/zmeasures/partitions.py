@@ -8,8 +8,8 @@ diagonal.  This module is the one partition core of the package; every
 other module reads these from here:
 
 - ``hook_rows``: the hook arguments x = arm + leg*theta, row by row, in
-  float.  ``hook_products`` and both scalar evaluators of the z-measure
-  consume it, so they round alike.
+  float.  Both scalar evaluators of the z-measure consume it, so they
+  round alike.
 - ``column_shifts`` and ``frobenius_coordinates``: the coordinates
   (A|B)_theta, with a_i = lam_i - 1 - floor(theta (i-1)) and
   b_j = lam'_j - ceil((j-1)/theta), in integer arithmetic on the
@@ -29,7 +29,7 @@ from .errors import DomainError, ParameterError, ResourceCapError
 
 HALF = Fraction(1, 2)
 
-DEFAULT_ENUMERATION_CAP = 100
+ENUMERATION_CAP = 100
 
 
 def _as_fraction(theta) -> Fraction:
@@ -86,13 +86,6 @@ class YoungDiagram:
     def size(self) -> int:
         return sum(self.parts)
 
-    @property
-    def rows(self) -> int:
-        return len(self.parts)
-
-    def transpose(self) -> "YoungDiagram":
-        return YoungDiagram(tuple(conjugate_parts(self.parts)))
-
     def __repr__(self):
         return f"YoungDiagram{self.parts}"
 
@@ -124,39 +117,16 @@ class LatticeConfig:
         if any(self.positives[i] < self.positives[i + 1] for i in range(len(self.positives) - 1)):
             raise DomainError("positive entries must descend (b_j weakly decreasing)")
 
-    def points(self) -> tuple[Fraction, ...]:
-        return self.negatives + self.positives
 
-
-def enumerate_partitions(
-    n: int,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    max_rows: int | None = None,
-    max_cols: int | None = None,
-) -> list[YoungDiagram]:
-    """All partitions of n in reverse lexicographic order.
-
-    ``max_rows``/``max_cols`` restrict the enumeration; they exist so
-    callers can skip diagrams known in advance to carry zero measure.
-    """
-    return [YoungDiagram(p) for p in iter_partition_tuples(n, cap, max_rows, max_cols)]
-
-
-def iter_partition_tuples(
-    n: int,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    max_rows: int | None = None,
-    max_cols: int | None = None,
-) -> Iterator[tuple[int, ...]]:
-    """Reverse-lexicographic partition generator yielding raw tuples."""
+def iter_partition_tuples(n: int, max_rows: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Reverse-lexicographic partition generator yielding raw tuples, with
+    at most ``max_rows`` parts when that is given."""
     if n < 0:
         raise DomainError(f"n must be nonnegative, got {n}")
-    if n > cap:
-        raise ResourceCapError(f"partition enumeration capped at n <= {cap}, got {n}")
-    for what, bound in (("max_rows", max_rows), ("max_cols", max_cols)):
-        if bound is not None and bound < 0:
-            raise DomainError(f"{what} must be nonnegative, got {bound}")
-    first = n if max_cols is None else min(n, max_cols)
+    if n > ENUMERATION_CAP:
+        raise ResourceCapError(f"partition enumeration capped at n <= {ENUMERATION_CAP}, got {n}")
+    if max_rows is not None and max_rows < 0:
+        raise DomainError(f"max_rows must be nonnegative, got {max_rows}")
     rows = n if max_rows is None else max_rows
 
     def rec(remaining: int, largest: int, rows_left: int, prefix: tuple[int, ...]):
@@ -170,16 +140,7 @@ def iter_partition_tuples(
         for p in range(min(largest, remaining), lo - 1, -1):
             yield from rec(remaining - p, p, rows_left - 1, prefix + (p,))
 
-    yield from rec(n, first, rows, ())
-
-
-def theta_content(box: tuple[int, int], theta) -> float:
-    """(j-1) - theta*(i-1) for a 1-based box (i, j)."""
-    th = _as_fraction(theta)
-    i, j = box
-    if i < 1 or j < 1:
-        raise DomainError(f"box indices are 1-based, got {box}")
-    return float((j - 1) - th * (i - 1))
+    yield from rec(n, n, rows, ())
 
 
 def hook_rows(parts, theta: float) -> Iterator[list[float]]:
@@ -190,41 +151,6 @@ def hook_rows(parts, theta: float) -> Iterator[list[float]]:
     conj = conjugate_parts(parts)
     for i, p in enumerate(parts, start=1):
         yield [arm + (c - i) * theta for arm, c in zip(range(p - 1, -1, -1), conj)]
-
-
-def hook_products(lam: YoungDiagram, theta) -> tuple[float, float]:
-    """The pair (H, H') of theta-deformed hook products.
-
-    H multiplies arm + leg*theta + 1 over all boxes, H' the same with a
-    trailing +theta.  Empty diagram gives (1, 1).
-    """
-    th = float(_as_fraction(theta))
-    h = 1.0
-    hp = 1.0
-    for row in hook_rows(lam.parts, th):
-        for x in row:
-            h *= x + 1.0
-            hp *= x + th
-    return (h, hp)
-
-
-def generalized_pochhammer(z: complex, lam: YoungDiagram, theta) -> complex:
-    """Product of z + (j-1) - (i-1)*theta over the boxes of lam.
-
-    Equals the row-wise product of ordinary Pochhammer symbols
-    (z - (i-1)theta)_{lam_i}.  Returns exactly 0 when any factor has
-    modulus below 1e-300.
-    """
-    th = float(_as_fraction(theta))
-    out = complex(1.0)
-    for i, p in enumerate(lam.parts, start=1):
-        base = z - (i - 1) * th
-        for j in range(p):
-            f = base + j
-            if abs(f) < 1e-300:
-                return 0j
-            out *= f
-    return out
 
 
 def column_shifts(theta, width: int) -> list[int]:

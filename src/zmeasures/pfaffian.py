@@ -1,9 +1,7 @@
 """Pfaffians of real antisymmetric matrices and kernel-block assembly.
 
-The production path is Parlett-Reid skew-symmetric tridiagonalization
-with partial pivoting (O(n^3), sign of every row/column swap tracked
-exactly); a recursive first-row expansion is kept as an independent
-oracle for small matrices.
+Pfaffians come from Parlett-Reid skew-symmetric tridiagonalization with
+partial pivoting (O(n^3), sign of every row/column swap tracked exactly).
 """
 
 from __future__ import annotations
@@ -54,10 +52,6 @@ class AntisymmetricMatrix:
         if m.size and np.abs(m + m.T).max() > 0.0:
             raise DomainError("use AntisymmetricMatrix.from_array to antisymmetrize")
 
-    @property
-    def dim(self) -> int:
-        return self.data.shape[0]
-
 
 def pfaffian(A: AntisymmetricMatrix | np.ndarray) -> float:
     """Pfaffian via Parlett-Reid tridiagonalization with pivoting.
@@ -95,29 +89,6 @@ def pfaffian(A: AntisymmetricMatrix | np.ndarray) -> float:
             m[k + 1, k + 2 :] = 0.0
             m[k + 2 :, k + 1] = 0.0
     return sign * prod
-
-
-def pfaffian_expansion(A: AntisymmetricMatrix | np.ndarray) -> float:
-    """Recursive first-row expansion Pf(A) = sum_j (-1)^j a_{0j} Pf(A_{0j});
-    exponential cost, retained as an oracle for dimensions <= 8."""
-    if not isinstance(A, AntisymmetricMatrix):
-        A = AntisymmetricMatrix.from_array(A)
-    m = A.data
-    if m.shape[0] > 8:
-        raise DomainError("recursive Pfaffian expansion limited to dimension <= 8")
-
-    def rec(idx: tuple[int, ...]) -> float:
-        if not idx:
-            return 1.0
-        i = idx[0]
-        total = 0.0
-        for pos in range(1, len(idx)):
-            j = idx[pos]
-            rest = idx[1:pos] + idx[pos + 1 :]
-            total += (-1) ** (pos - 1) * m[i, j] * rec(rest)
-        return total
-
-    return rec(tuple(range(m.shape[0])))
 
 
 def assemble(

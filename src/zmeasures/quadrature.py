@@ -8,7 +8,7 @@ integrand that maps an array of nodes to an array of values can be
 marked ``vectorized``: it is then called once per panel on all 30 nodes
 instead of once per node.
 
-An integrand may have several components (``components=k``): it then
+An integrand has k = ``components`` components, one by default: it
 returns k values per node, or a (k, nodes) array when vectorized, and is
 called once per panel that any component still refines.  Each component
 keeps its own panel tree, tolerance halving, floors and error sum, so its
@@ -73,10 +73,10 @@ def adaptive_gauss_legendre(
     abs_floor: float = 0.0,
     vectorized: bool = False,
     rel_floor: float = 1e-15,
-    components: int | None = None,
-):
-    """Integrate f over [a, b]; returns (value, error_estimate), or a list
-    of them, one per component, when ``components`` is given.
+    components: int = 1,
+) -> list[tuple[float, float]]:
+    """Integrate each component of f over [a, b]; returns one
+    (value, error_estimate) per component.
 
     ``abs_floor`` accepts panels whose absolute discrepancy is already
     negligible even when the width-scaled tolerance is tighter, and
@@ -86,20 +86,16 @@ def adaptive_gauss_legendre(
     into the error estimate.  Raises NumericalError when bisection fails to
     converge for any component.
     """
-    k = 1 if components is None else components
-    if components is None:
-        g = f
-        f = (lambda t: g(t)[None]) if vectorized else (lambda t: (g(t),))
-    totals = [(0.0, 0.0)] * k
+    totals = [(0.0, 0.0)] * components
     if b > a:
         pts = sorted({float(a), float(b), *(float(p) for p in breakpoints if a < p < b)})
         for lo, hi in zip(pts, pts[1:]):
             out = _panel(
                 f, lo, hi, tol * (hi - lo) / (b - a), 0, (abs_floor, rel_floor),
-                vectorized, range(k),
+                vectorized, range(components),
             )
             totals = [(v + out[c][0], e + out[c][1]) for c, (v, e) in enumerate(totals)]
-    return totals[0] if components is None else totals
+    return totals
 
 
 def _panel(f, lo, hi, tol, depth, floors, vectorized, active) -> dict:

@@ -8,7 +8,9 @@ prefactor 1/|Gamma(-2z - a + 1/2)| of the continuum kernel, so the kernel
 values do not depend on whether scipy is installed: the package needs
 only numpy and mpmath.
 
-Two evaluation routes for W are available:
+Two evaluation routes for W are available, chosen by the ``method`` of
+``whittaker_W`` and ``whittaker_W_deriv``; ``whittaker_W_second`` and
+``whittaker_W_third`` take the direct route:
 
 * ``direct``  - mpmath's ``whitw`` at 25 digits for x <= ASYMPTOTIC_X
   (scipy's hyperu loses digits there), and the Poincare asymptotic
@@ -435,19 +437,20 @@ def whittaker_W_deriv(k, m, x: float, method: str = "direct") -> float:
     return _realify(complex(val), kc, mc)
 
 
-def whittaker_W_second(k, m, x: float, method: str = "direct") -> float:
+def whittaker_W_second(k, m, x: float) -> float:
     """d2W/dx2 from the Whittaker equation
-    W'' = (1/4 - k/x + (m^2 - 1/4)/x^2) W."""
+    W'' = (1/4 - k/x + (m^2 - 1/4)/x^2) W, on the direct route."""
     kc, mc = complex(k), complex(m)
     q = 0.25 - kc / x + (mc * mc - 0.25) / (x * x)
-    return _realify(q * whittaker_W(kc, mc, x, method), kc, mc)
+    return _realify(q * whittaker_W(kc, mc, x), kc, mc)
 
 
-def whittaker_W_third(k, m, x: float, method: str = "direct") -> float:
-    """d3W/dx3 by differentiating the Whittaker equation."""
+def whittaker_W_third(k, m, x: float) -> float:
+    """d3W/dx3 by differentiating the Whittaker equation, on the direct
+    route."""
     kc, mc = complex(k), complex(m)
     q = 0.25 - kc / x + (mc * mc - 0.25) / (x * x)
     qp = kc / (x * x) - 2.0 * (mc * mc - 0.25) / (x * x * x)
-    w = whittaker_W(kc, mc, x, method)
-    wp = whittaker_W_deriv(kc, mc, x, method)
+    w = whittaker_W(kc, mc, x)
+    wp = whittaker_W_deriv(kc, mc, x)
     return _realify(qp * w + q * wp, kc, mc)

@@ -16,20 +16,14 @@ import pytest
 
 from zmeasures.correlations import verify_limit
 from zmeasures.gelfand import (
-    all_permutations,
     coset_type,
     from_cycles,
     hyperoctahedral_group,
-    identity_perm,
     spherical_restriction,
     zonal_spherical,
 )
 from zmeasures.kernels import KernelParams, S, S_partials, matrix_kernel
-from zmeasures.measures import (
-    ZParams,
-    z_measure,
-    z_measure_symmetry_check,
-)
+from zmeasures.measures import ZParams, z_measure
 from zmeasures.pairings import (
     Matching,
     act,
@@ -42,8 +36,10 @@ from zmeasures.pairings import (
     t_measure,
 )
 from zmeasures.partitions import YoungDiagram, iter_partition_tuples
-from zmeasures.pfaffian import assemble, pfaffian, pfaffian_expansion
+from zmeasures.pfaffian import assemble, pfaffian
 from zmeasures.specfun import whittaker_W, whittaker_W_deriv
+
+from oracles import all_permutations, identity_perm, pfaffian_expansion, z_measure_symmetry_check
 
 
 def report(num: int, ok: bool, text: str):

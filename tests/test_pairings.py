@@ -11,11 +11,12 @@ from zmeasures.pairings import (
     cycle_count,
     enumerate_matchings,
     extend_permutation,
-    preimages,
     project,
     symbols,
     t_measure,
 )
+
+from oracles import SignedPermutationDomainMap, preimages
 
 FIG1 = Matching.from_pairs(
     [(1, 3), (-2, 5), (2, -1), (-3, -5), (4, -6), (-4, 6)]
@@ -83,6 +84,26 @@ def test_project_rules():
     assert project(Matching.from_pairs([(-2, 1), (2, -1)])) == Matching.from_pairs(
         [(-1, 1)]
     )
+
+
+def _project_by_from_pairs(xp):
+    """The projection built through the validated ``Matching.from_pairs``."""
+    n1 = xp.n
+    partner = {}
+    for a, b in xp.pairs:
+        partner[a], partner[b] = b, a
+    pairs = [p for p in xp.pairs if n1 not in p and -n1 not in p]
+    if partner[n1] != -n1:
+        pairs.append((partner[-n1], partner[n1]))
+    return Matching.from_pairs(pairs)
+
+
+def test_project_matches_validated_construction():
+    for n1 in range(2, 7):
+        for xp in enumerate_matchings(n1):
+            got = project(xp)
+            assert got.pairs == _project_by_from_pairs(xp).pairs
+            assert Matching(got.pairs) == got
 
 
 def test_projection_preserves_measure():
@@ -179,7 +200,7 @@ def test_quasi_invariance():
 
 def test_hyperoctahedral_invariance():
     # h preserving the base matching {{-i, i}} preserves cycle counts
-    from zmeasures.gelfand import SignedPermutationDomainMap, hyperoctahedral_group
+    from zmeasures.gelfand import hyperoctahedral_group
 
     n = 3
     base = Matching.from_pairs([(-i, i) for i in range(1, n + 1)])

@@ -3,12 +3,9 @@ import pytest
 
 from zmeasures.errors import DomainError, NumericalError
 from zmeasures.kernels import KernelParams
-from zmeasures.pfaffian import (
-    AntisymmetricMatrix,
-    assemble,
-    pfaffian,
-    pfaffian_expansion,
-)
+from zmeasures.pfaffian import AntisymmetricMatrix, assemble, pfaffian
+
+from oracles import pfaffian_expansion
 
 
 def random_skew(rng, d):
@@ -22,7 +19,7 @@ def test_construction_validation():
     with pytest.raises(DomainError):
         AntisymmetricMatrix.from_array(np.ones((2, 2)))
     m = AntisymmetricMatrix.from_array([[0, 1.0], [-1.0, 0]])
-    assert m.dim == 2
+    assert m.data.shape[0] == 2
 
 
 def test_two_by_two():

@@ -5,6 +5,7 @@ wraps, and the modules an import pulls in."""
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "zmeasures").glob("*.py"))
+ORACLES = ROOT / "tests" / "oracles.py"
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -29,16 +31,11 @@ def _unused_imports(path: Path) -> list[str]:
             for alias in node.names:
                 if "# noqa" not in lines[alias.lineno - 1]:
                     bound[alias.asname or alias.name.split(".")[0]] = alias.lineno
-    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            read |= set(ast.literal_eval(node.value))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | _exported(tree)
     return [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in read]
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES + [ORACLES], ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
 
@@ -49,45 +46,105 @@ def test_unused_import_check_finds_one(tmp_path):
     assert _unused_imports(src) == ["m.py:1 os", "m.py:3 pi"]
 
 
-def _unreferenced_definitions(package: list[Path], readers: list[Path]) -> list[str]:
-    """Functions, classes and methods defined in ``package`` (dunders
-    excepted) whose name no ``ast.Name`` or ``ast.Attribute`` in ``readers``
-    mentions."""
-    named = set()
-    for path in readers:
-        for node in ast.walk(ast.parse(path.read_text())):
+# Definitions that only the tests call but that the README names, in
+# backquotes, as the package's own.
+README_NAMES = ("cocycle", "project", "schur_correlation")
+
+
+def _unreferenced_definitions(root: Path, allowed=()) -> list[str]:
+    """Functions, classes and methods defined in ``root/src/zmeasures``
+    (dunders excepted) that no module under ``root/src`` or
+    ``root/perfbench`` uses, and the stale entries of ``allowed``.
+
+    A method or property counts as used only where an ``ast.Attribute``
+    names it, so a local variable of the same name does not count; any
+    other definition where an ``ast.Name``, an ``ast.Attribute`` or an
+    ``__all__`` does.  What the tests reference does not count.  The names
+    in ``allowed`` need no use; an entry is stale when no definition
+    carries its name or when the package uses it anyway."""
+    names, attrs = set(), set()
+    for path in (p for d in ("src", "perfbench") for p in sorted((root / d).rglob("*.py"))):
+        tree = ast.parse(path.read_text())
+        names |= _exported(tree)
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                named.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
-    unreferenced = []
-    for path in package:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                dunder = node.name.startswith("__") and node.name.endswith("__")
-                if not dunder and node.name not in named:
-                    unreferenced.append((path.name, node.lineno, node.name))
-    return [f"{name}:{line} {defn}" for name, line, defn in sorted(unreferenced)]
+                attrs.add(node.attr)
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    unused, defined, used = [], set(), set()
+    for path in sorted((root / "src" / "zmeasures").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owners = {n: c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for n in c.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, kinds) or (node.name.startswith("__") and node.name.endswith("__")):
+                continue
+            owner = owners.get(node)
+            defined.add(node.name)
+            if node.name in (attrs if owner else names | attrs):
+                used.add(node.name)
+            elif node.name not in allowed:
+                unused.append((path.name, node.lineno, f"{owner}.{node.name}" if owner else node.name))
+    stale = [
+        f"allow-list {name}: {'used' if name in used else 'not defined'}"
+        for name in allowed
+        if name in used or name not in defined
+    ]
+    return [f"{name}:{line} {label}" for name, line, label in sorted(unused)] + stale
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """The names listed in the module's ``__all__``."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            out |= set(ast.literal_eval(node.value))
+    return out
 
 
 def test_every_definition_is_referenced():
-    readers = [p for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
-    assert _unreferenced_definitions(SOURCES, readers) == []
+    assert _unreferenced_definitions(ROOT, README_NAMES) == []
+    spans = " ".join(re.findall(r"`([^`]*)`", (ROOT / "README.md").read_text()))
+    assert [name for name in README_NAMES if name not in re.findall(r"\w+", spans)] == []
 
 
 def test_unreferenced_definition_check_finds_one(tmp_path):
-    src = tmp_path / "m.py"
-    src.write_text(
+    package = tmp_path / "src" / "zmeasures"
+    package.mkdir(parents=True)
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "perfbench").mkdir()
+    (package / "m.py").write_text(
+        "__all__ = ['exported']\n"
         "class A:\n"
         "    def __init__(self): pass\n"
         "    def used(self): pass\n"
         "    def unused(self): pass\n"
+        "    @property\n"
+        "    def rows(self): return 1\n"
         "def helper(): pass\n"
         "def orphan(): pass\n"
+        "def tested(): pass\n"
+        "def exported(): pass\n"
+        "def documented(): pass\n"
+        "def listed_but_used(): pass\n"
+        "def count(rows):\n"
+        "    return len(rows)\n"
         "A().used()\n"
-        "print(helper)\n"
+        "print(helper, listed_but_used, count)\n"
     )
-    assert _unreferenced_definitions([src], [src]) == ["m.py:4 unused", "m.py:6 orphan"]
+    (tmp_path / "perfbench" / "run.py").write_text("import zmeasures.m\n")
+    (tmp_path / "tests" / "test_m.py").write_text("from zmeasures.m import A, tested\ntested()\nA().rows\n")
+    allowed = ("documented", "listed_but_used", "gone")
+    assert _unreferenced_definitions(tmp_path, allowed) == [
+        "m.py:5 A.unused",
+        "m.py:7 A.rows",
+        "m.py:9 orphan",
+        "m.py:10 tested",
+        "allow-list listed_but_used: used",
+        "allow-list gone: not defined",
+    ]
 
 
 def _traced_names() -> list[tuple[str, str]]:
