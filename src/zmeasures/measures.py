@@ -20,26 +20,34 @@ The measure has two evaluators, one per kind of traffic:
 - ``_MeasureEngine.measure`` evaluates one diagram with a scalar loop.
   It serves ``z_measure``, ``mixed_z_measure`` and the CLI tables, which
   ask for many diagrams one at a time.
-- ``_chunk_measures`` evaluates the diagrams of one stratum (one size n)
+- ``_weigh`` evaluates the diagrams of one stratum (one size n)
   together, in numpy, for ``lattice_correlation``.  It runs the same
   float operations in the same order as the scalar loop, so every value
   is bit-identical to it, and a stratum's terms are summed in the order
-  of a full reverse-lexicographic enumeration.  The walk's diagrams are
-  evaluated in chunks of ``_CHUNK_CELLS // n`` diagrams, so the float
-  arrays stay near ``_CHUNK_CELLS`` entries whatever a stratum holds.
+  of a full reverse-lexicographic enumeration.
 
-A stratum sum, the z-measure of the diagrams of one size n that contain
-the points, depends on neither xi nor n_max: xi enters only through the
-negative-binomial weights.  Each engine keeps the sums it has computed
-(``_MeasureEngine.stratum_sums``), so the rungs of a xi-ladder, and any
-later call at the same (z, theta), walk each (n, points) once.
+Both take the hook term log H + log H' from ``_hook_log``, which does
+not depend on z.  It renormalises the hook products at row ends; a
+diagram whose products leave the float range inside one row, as a row
+of 171 or more cells does, has its hook term recomputed as a sum of logs
+instead, so sizes up to ``LATTICE_NMAX_CAP`` are evaluated correctly.
 
-Both renormalise the hook products H and H' at row ends.  A diagram whose
-products leave the float range inside one row, as a row of 171 or more
-cells does, has its hook term recomputed as a sum of logs instead, so
-sizes up to ``LATTICE_NMAX_CAP`` are evaluated correctly.
+A stratum's diagrams and their hook terms depend on theta, n, the
+points and the zero cut, but not on z: z enters only through the row
+Pochhammer factors and the Gamma normaliser.  So a stratum is walked
+once (``_walk_stratum``, which hooks the diagrams in numpy chunks of
+``_CHUNK_CELLS // n`` with ``_hook_log``'s float operations) and kept
+in ``_strata``, a least-recently-used store of at most ``_STORE_BYTES``;
+each new z only weighs the kept diagrams, in chunks of
+``_CHUNK_CELLS // rows``, so the float arrays stay near ``_CHUNK_CELLS``
+entries whatever a stratum holds.  A stratum sum, the z-measure of the
+diagrams of one size n that contain the points, depends on neither xi
+nor n_max: xi enters only through the negative-binomial weights.  Each
+engine keeps the sums it has computed (``_MeasureEngine.stratum_sums``),
+so the rungs of a xi-ladder, and any later call at the same (z, theta),
+weigh each (n, points) once.
 
-The partition combinatorics come from ``partitions``: the scalar loop and
+The partition combinatorics come from ``partitions``: ``_hook_log`` and
 the log-sum fallback read their hook arguments from ``hook_rows``, the
 walk its column shifts from ``column_shifts``, and lattice points are
 checked by ``half_integer``.  The Pochhammer zeros are read from the
@@ -55,6 +63,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -204,36 +213,44 @@ class _MeasureEngine:
             if p >= self._row_zero[i]:
                 return 0.0
             num += log_row
-        # hook products as renormalized float products, row by row
-        th = self.theta
-        h = 1.0
-        hp = 1.0
-        hexp = 0.0
-        for row in hook_rows(parts, th):
-            for x in row:
-                h *= x + 1.0
-                hp *= x + th
-            if h > 1e250 or hp > 1e250 or hp < 1e-250:
-                if h == math.inf or hp == math.inf or hp == 0.0:
-                    # left the float range inside a row
-                    hexp, h, hp = self.hook_log_sum(parts), 1.0, 1.0
-                    break
-                hexp += math.log(h) + math.log(hp)
-                h = 1.0
-                hp = 1.0
-        logden = hexp + math.log(h) + math.log(hp)
+        logden = _hook_log(parts, self.theta)
         logden += math.lgamma(self.a + n) - math.lgamma(self.a)
         return math.exp(math.lgamma(n + 1) + num - logden)
 
-    def hook_log_sum(self, parts: Sequence[int]) -> float:
-        """log H(lam) + log H'(lam) as a correctly rounded sum of the logs of
-        the hook factors: the fallback for diagrams whose hook products
-        overflow (or underflow) before a row ends, as a row of length
-        n >= 171 does."""
-        th = self.theta
-        return math.fsum(
-            math.log(x + 1.0) + math.log(x + th) for row in hook_rows(parts, th) for x in row
-        )
+
+def _hook_log(parts: Sequence[int], th: float) -> float:
+    """log H(lam) + log H'(lam) as the z-measure's denominator takes it: the
+    hook products as float products, renormalised at row ends once they
+    pass 1e250 (or H' falls below 1e-250), their logs added up.  A
+    diagram whose products leave the float range inside one row, as a row
+    of 171 or more cells does, gets ``_hook_log_sum`` instead.  The same
+    floats in the same order for every caller, so the scalar ``measure``
+    and the stored strata agree bit for bit."""
+    h = 1.0
+    hp = 1.0
+    hexp = 0.0
+    for row in hook_rows(parts, th):
+        for x in row:
+            h *= x + 1.0
+            hp *= x + th
+        if h > 1e250 or hp > 1e250 or hp < 1e-250:
+            if h == math.inf or hp == math.inf or hp == 0.0:
+                # left the float range inside a row
+                return _hook_log_sum(parts, th)
+            hexp += math.log(h) + math.log(hp)
+            h = 1.0
+            hp = 1.0
+    return hexp + math.log(h) + math.log(hp)
+
+
+def _hook_log_sum(parts: Sequence[int], th: float) -> float:
+    """log H(lam) + log H'(lam) as a correctly rounded sum of the logs of
+    the hook factors: the fallback for diagrams whose hook products
+    overflow (or underflow) before a row ends, as a row of length
+    n >= 171 does."""
+    return math.fsum(
+        math.log(x + 1.0) + math.log(x + th) for row in hook_rows(parts, th) for x in row
+    )
 
 
 # two entries: callers loop over diagrams at one (z, theta), or at one and
@@ -424,25 +441,25 @@ def _walk_directed(
 
 
 # cells whose float arrays are evaluated together: a stratum of size n is
-# evaluated in chunks of _CHUNK_CELLS // n diagrams, so the arrays of a chunk
+# walked in chunks of _CHUNK_CELLS // n diagrams, and its diagrams of at most
+# r rows are weighed in chunks of _CHUNK_CELLS // r, so the arrays of a chunk
 # stay near _CHUNK_CELLS entries whatever the stratum holds
 _CHUNK_CELLS = 4096
 
 
-def _chunk_measures(n: int, eng: _MeasureEngine, heights: list[int], widths: list[int]):
-    """Parts (zero-padded rows) and z-measures of the partitions of n whose
-    column heights are ``heights``, diagram after diagram, with
-    ``widths`` columns each.
+def _chunk_hooks(n: int, th: float, heights: list[int], widths: list[int]):
+    """Parts (zero-padded rows) and hook logs of the partitions of n whose
+    column heights are ``heights``, diagram after diagram, with ``widths``
+    columns each.
 
-    The measures are the floats ``eng.measure`` returns: the same float
-    operations in the same order, run across the diagrams at once.  Row
-    Pochhammer logs are gathered from the engine's row tables and added
-    row by row; the hook factors of each diagram are laid out in
-    row-major cell order (every diagram has n cells) and multiplied by
-    the sequential ``np.multiply.accumulate``; a diagram whose running
-    product meets the renormalisation test at a row end is handed to
-    ``eng.measure`` whole; logs, lgammas and exps are taken per diagram
-    with ``math``, whose rounding numpy's own functions do not share.
+    The hook logs are the floats ``_hook_log`` returns: the same float
+    operations in the same order, run across the diagrams at once.  The
+    hook factors of each diagram are laid out in row-major cell order
+    (every diagram has n cells) and multiplied by the sequential
+    ``np.multiply.accumulate``; a diagram whose running product meets the
+    renormalisation test at a row end is handed to ``_hook_log`` whole;
+    logs are taken per diagram with ``math``, whose rounding numpy's own
+    functions do not share.
     """
     count = len(widths)
     cols = np.fromiter(heights, np.int64, len(heights))
@@ -453,10 +470,6 @@ def _chunk_measures(n: int, eng: _MeasureEngine, heights: list[int], widths: lis
     tally = np.bincount(np.repeat(np.arange(0, count * (rows + 1), rows + 1), width) + cols,
                         minlength=count * (rows + 1))
     parts = np.cumsum(tally.reshape(count, rows + 1)[:, :0:-1], axis=1)[:, ::-1]
-    logs, zero_at = eng.row_log_table(rows, int(width.max()))
-    vanishes = (parts >= zero_at[:rows]).any(axis=1)
-    row_logs = np.take(logs, parts + np.arange(0, rows * logs.shape[1], logs.shape[1]))
-    num = np.add.accumulate(row_logs, axis=1)[:, -1]
 
     # cell k of the chunk lies in row block r = block[k], row r % rows + 1
     # of diagram r // rows; its arm counts the cells after it in the row
@@ -469,7 +482,6 @@ def _chunk_measures(n: int, eng: _MeasureEngine, heights: list[int], widths: lis
     col_shift = np.repeat(first_col, rows) - (row_end - flat + 1)
     row_number = np.arange(count * rows) % rows + 1
     leg = cols[k + col_shift[block]] - row_number[block]
-    th = eng.theta
     x = arm + leg * th
     with np.errstate(over="ignore", under="ignore"):
         h = np.multiply.accumulate((x + 1.0).reshape(count, n), axis=1)[:, -1]
@@ -478,16 +490,124 @@ def _chunk_measures(n: int, eng: _MeasureEngine, heights: list[int], widths: lis
     hp_end = hp.ravel()[row_end].reshape(count, rows)
     renorm = (h > 1e250) | ((hp_end > 1e250) | (hp_end < 1e-250)).any(axis=1)
 
+    hooks = np.empty(count)
+    plain = ~renorm
+    # log H >= 0 is never -0.0, so _hook_log's 0.0 + log H is log H
+    logs = np.array(list(map(math.log, h[plain].tolist())))
+    logs += np.array(list(map(math.log, hp[plain, -1].tolist())))
+    hooks[plain] = logs
+    for d in np.flatnonzero(renorm).tolist():
+        hooks[d] = _hook_log(tuple(parts[d][parts[d] > 0].tolist()), th)
+    return parts.astype(np.uint8), hooks
+
+
+def _walk_stratum(
+    n: int,
+    th: float,
+    shifts: Sequence[int],
+    target_bs: Sequence[int],
+    cut: tuple[int, int],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Parts (zero-padded rows, uint8) and hook logs of the partitions of n
+    with at most ``cut`` = (rows, columns) whose positive coordinates
+    contain all target points, in reverse lexicographic order of parts.
+
+    The walk's column heights are gathered into chunks of
+    ``_CHUNK_CELLS // n`` diagrams, and each chunk is hooked by
+    ``_chunk_hooks``."""
+    chunk = max(1, _CHUNK_CELLS // n)
+    heights: list[int] = []
+    widths: list[int] = []
+    done: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def flush():
+        done.append(_chunk_hooks(n, th, heights, widths))
+        heights.clear()
+        widths.clear()
+
+    def visit(cols, tails):
+        for tail in tails:
+            heights.extend(cols)
+            heights.extend(tail)
+            widths.append(len(cols) + len(tail))
+            if len(widths) == chunk:
+                flush()
+
+    _walk_columns(n, shifts, target_bs, *cut, visit)
+    if widths:
+        flush()
+    if not done:
+        return np.zeros((0, 0), dtype=np.uint8), np.zeros(0)
+    rows = max(parts.shape[1] for parts, _ in done)
+    parts = np.concatenate([np.pad(p, ((0, 0), (0, rows - p.shape[1]))) for p, _ in done])
+    hooks = np.concatenate([h for _, h in done])
+    # the order iter_partition_tuples yields, so that sums are bit-stable
+    order = np.lexsort(parts.T[::-1])[::-1]
+    return parts[order], hooks[order]
+
+
+# bytes the walked strata may hold, counting each entry's arrays and a
+# fixed overhead for its key and bookkeeping
+_STORE_BYTES = 2 << 20
+_ENTRY_BYTES = 512
+
+
+def _entry_bytes(entry: tuple[np.ndarray, np.ndarray]) -> int:
+    return entry[0].nbytes + entry[1].nbytes + _ENTRY_BYTES
+
+
+class _StratumStore:
+    """Walked strata, least recently used first, holding at most
+    ``_STORE_BYTES``.  A stratum larger than that is returned, not kept."""
+
+    def __init__(self):
+        self.used = 0
+        self._entries: OrderedDict[tuple, tuple[np.ndarray, np.ndarray]] = OrderedDict()
+
+    def get(self, key: tuple, walk) -> tuple[np.ndarray, np.ndarray]:
+        """The entry under ``key``, from ``walk()`` when it is not kept."""
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._entries.move_to_end(key)
+            return entry
+        entry = walk()
+        size = _entry_bytes(entry)
+        if size <= _STORE_BYTES:
+            self._entries[key] = entry
+            self.used += size
+            while self.used > _STORE_BYTES:
+                self.used -= _entry_bytes(self._entries.popitem(last=False)[1])
+        return entry
+
+
+_strata = _StratumStore()
+
+
+def _weigh(n: int, eng: _MeasureEngine, parts: np.ndarray, hooks: np.ndarray) -> np.ndarray:
+    """The z-measures under ``eng`` of the partitions of n with rows
+    ``parts`` and hook logs ``hooks``: the floats ``eng.measure`` returns.
+
+    Row Pochhammer logs are gathered from the engine's row tables and
+    added row by row; a diagram with a row that reaches a zero factor
+    weighs 0; the rest take exp((lgamma(n + 1) + num) - (hook log +
+    (lgamma(a + n) - lgamma(a)))), per diagram with ``math.exp``.  The
+    diagrams are weighed in chunks of ``_CHUNK_CELLS // rows``."""
+    count, rows = parts.shape
     m = np.zeros(count)
-    plain = ~(vanishes | renorm)
-    # log H >= 0 is never -0.0, so the scalar loop's 0.0 + log H is log H
-    logden = np.array(list(map(math.log, h[plain].tolist())))
-    logden += np.array(list(map(math.log, hp[plain, -1].tolist())))
-    logden += math.lgamma(eng.a + n) - math.lgamma(eng.a)
-    m[plain] = list(map(math.exp, ((math.lgamma(n + 1) + num[plain]) - logden).tolist()))
-    for d in np.flatnonzero(renorm & ~vanishes).tolist():
-        m[d] = eng.measure(tuple(parts[d][parts[d] > 0].tolist()))
-    return parts, m
+    if not count:
+        return m
+    logs, zero_at = eng.row_log_table(rows, int(parts[:, 0].max()))
+    offsets = np.arange(0, rows * logs.shape[1], logs.shape[1])
+    top = math.lgamma(n + 1)
+    gamma = math.lgamma(eng.a + n) - math.lgamma(eng.a)
+    step = max(1, _CHUNK_CELLS // rows)
+    for lo in range(0, count, step):
+        chunk = parts[lo:lo + step]
+        live = ~(chunk >= zero_at[:rows]).any(axis=1)
+        num = np.add.accumulate(np.take(logs, chunk[live] + offsets), axis=1)[:, -1]
+        logden = hooks[lo:lo + step][live] + gamma
+        m[lo:lo + step][live] = list(map(math.exp, ((top + num) - logden).tolist()))
+    return m
 
 
 def _stratum_measures(
@@ -502,44 +622,23 @@ def _stratum_measures(
     ``column_shifts`` of theta, at least n long.
 
     The walk never builds a diagram with more rows or columns than
-    ``eng.zero_cut(n)`` allows.  Its column heights are gathered into
-    chunks of ``_CHUNK_CELLS // n`` diagrams, and each chunk is evaluated
-    by ``_chunk_measures``."""
+    ``eng.zero_cut(n)`` allows.  What it finds does not depend on z, so it
+    is kept in ``_strata`` under what the walk and the hook logs read:
+    theta as a float, the first n column shifts of the exact theta, the
+    sorted targets and the cut.  1/3 and 0.3333333333333333 are one float
+    but shift different columns, so they walk apart.  Each new z only
+    weighs the kept diagrams (``_weigh``)."""
     if n > LATTICE_NMAX_CAP:
         raise ResourceCapError(
             f"partition enumeration capped at n <= {LATTICE_NMAX_CAP}, got {n}"
         )
-    chunk = max(1, _CHUNK_CELLS // n)
-    heights: list[int] = []
-    widths: list[int] = []
-    done: list[tuple[np.ndarray, np.ndarray]] = []
-
-    def flush():
-        parts, m = _chunk_measures(n, eng, heights, widths)
-        keep = m != 0.0
-        done.append((parts[keep].astype(np.uint8), m[keep]))
-        heights.clear()
-        widths.clear()
-
-    def visit(cols, tails):
-        for tail in tails:
-            heights.extend(cols)
-            heights.extend(tail)
-            widths.append(len(cols) + len(tail))
-            if len(widths) == chunk:
-                flush()
-
-    _walk_columns(n, shifts, target_bs, *eng.zero_cut(n), visit)
-    if widths:
-        flush()
-    if not done:
-        return np.zeros((0, 0), dtype=np.uint8), []
-    rows = max(parts.shape[1] for parts, _ in done)
-    parts = np.concatenate([np.pad(p, ((0, 0), (0, rows - p.shape[1]))) for p, _ in done])
-    m = np.concatenate([m for _, m in done])
-    # the order iter_partition_tuples yields, so that sums are bit-stable
-    order = np.lexsort(parts.T[::-1])[::-1]
-    return parts[order], m[order].tolist()
+    cut = eng.zero_cut(n)
+    th = eng.theta
+    key = (th, tuple(shifts[:n]), tuple(sorted(target_bs)), cut)
+    parts, hooks = _strata.get(key, lambda: _walk_stratum(n, th, shifts, target_bs, cut))
+    m = _weigh(n, eng, parts, hooks)
+    keep = m != 0.0
+    return parts[keep], m[keep].tolist()
 
 
 def _stratum_sum(
@@ -570,20 +669,22 @@ def lattice_correlation(
     positive coordinates contain X, found by a column-by-column walk that
     cuts every prefix no completion of which can contain X; diagrams
     whose measure vanishes identically because of a first-row or
-    first-column Pochhammer zero are never generated.  The walk's
-    diagrams are evaluated in numpy batches of at most
-    ``_CHUNK_CELLS // n`` diagrams, whose measures are bit-identical to
-    ``z_measure``, and added in reverse lexicographic order of parts, the
-    order of a full enumeration.  Hook products that leave the float
-    range inside a row (a row of 171 or more cells) are summed as logs,
-    so every size up to ``LATTICE_NMAX_CAP`` counts.  ``terms_summed``
-    counts the diagrams with nonzero measure that contain X.  The point
-    1/2 is no positive coordinate of any diagram, so an X holding it
-    returns 0 without a walk.
+    first-column Pochhammer zero are never generated.  The walk does not
+    depend on z, so each stratum is walked and hooked once and kept in a
+    store of at most ``_STORE_BYTES`` shared by every z: a later z with
+    the same theta, points and zero cut only weighs the kept diagrams, in
+    numpy batches whose measures are bit-identical to ``z_measure``, and
+    adds them in reverse lexicographic order of parts, the order of a
+    full enumeration.  Hook products that leave the float range inside a
+    row (a row of 171 or more cells) are summed as logs, so every size up
+    to ``LATTICE_NMAX_CAP`` counts.  ``terms_summed`` counts the diagrams
+    with nonzero measure that contain X.  The point 1/2 is no positive
+    coordinate of any diagram, so an X holding it returns 0 without a
+    walk.
 
     The stratum sums depend on neither xi nor n_max, and are kept on the
     (z, theta) engine by size and sorted points: a size already summed
-    there, at any xi, n_max or order of X, is read back, not walked, and
+    there, at any xi, n_max or order of X, is read back, not weighed, and
     gives the same float.  ``n_max`` must be an integer (ParameterError
     otherwise) in [0, ``LATTICE_NMAX_CAP``] (ResourceCapError).
     """

@@ -22,6 +22,10 @@ Two evaluation routes for W are available, chosen by the ``method`` of
   them at parameters fixed by (k, m), the same at every quadrature node,
   and they cost a third of a call.  The values are bit for bit those of
   plain ``mpmath.whitw``, and the global ``mpmath.mp`` is left alone.
+  The context is built, and mpmath imported, at the first call below
+  ASYMPTOTIC_X (``_mp_context``).  Lattice correlations and the
+  continuum tables make no such call, so a process that computes only
+  those never imports mpmath.
 * ``integral`` - the real-integral representation of the Tricomi
   function, admissible for Re(m - k + 1/2) > 0 after exploiting the
   m -> -m symmetry; kept fully independent of the direct route so the
@@ -46,9 +50,6 @@ import cmath
 import math
 import sys
 from functools import lru_cache
-
-import mpmath as mp
-from mpmath import libmp
 
 from .errors import DomainError, NumericalError, PoleError, UnvalidatedDomainError
 from .quadrature import adaptive_gauss_legendre
@@ -303,25 +304,35 @@ def _asymptotic(k: complex, m: complex, x: float) -> complex:
     return cmath.exp(-x / 2 + k * math.log(x)) * total
 
 
-# A private mpmath context whose Gamma, 1/Gamma and sin(pi .) remember their
-# results.  whitw calls hyperu, and hyperu's hypercomb takes 1/Gamma and
-# sin(pi .) at a, b, a - b + 1 and 2 - b, which depend on (k, m) alone, so
-# every quadrature node after the first at the same indices finds them
-# cached; Gamma, for hypercomb's numerator factors, goes with them.  The
-# libmp functions are pure in (value, prec, rounding), so W comes out bit for
-# bit as from mpmath.whitw, and the global mpmath.mp is left alone.
-_MP = mp.MPContext()
-_MEMOS = tuple(
-    lru_cache(maxsize=1024)(f)
-    for f in (
-        libmp.mpf_gamma, libmp.mpc_gamma,
-        libmp.mpf_rgamma, libmp.mpc_rgamma,
-        libmp.mpf_sin_pi, libmp.mpc_sin_pi,
+@lru_cache(maxsize=None)
+def _mp_context():
+    """A private mpmath context whose Gamma, 1/Gamma and sin(pi .) remember
+    their results, and those six memoized libmp functions, built at the
+    first call: importing mpmath adds about 4 MB and 50 ms to a process, and
+    only W below ASYMPTOTIC_X needs it.
+
+    whitw calls hyperu, and hyperu's hypercomb takes 1/Gamma and sin(pi .)
+    at a, b, a - b + 1 and 2 - b, which depend on (k, m) alone, so every
+    quadrature node after the first at the same indices finds them cached;
+    Gamma, for hypercomb's numerator factors, goes with them.  The libmp
+    functions are pure in (value, prec, rounding), so W comes out bit for
+    bit as from mpmath.whitw, and the global mpmath.mp is left alone."""
+    import mpmath
+    from mpmath import libmp
+
+    ctx = mpmath.MPContext()
+    memos = tuple(
+        lru_cache(maxsize=1024)(f)
+        for f in (
+            libmp.mpf_gamma, libmp.mpc_gamma,
+            libmp.mpf_rgamma, libmp.mpc_rgamma,
+            libmp.mpf_sin_pi, libmp.mpc_sin_pi,
+        )
     )
-)
-_MP.gamma, _MP.rgamma, _MP.sinpi = (
-    _MP._wrap_libmp_function(_MEMOS[i], _MEMOS[i + 1]) for i in (0, 2, 4)
-)
+    ctx.gamma, ctx.rgamma, ctx.sinpi = (
+        ctx._wrap_libmp_function(memos[i], memos[i + 1]) for i in (0, 2, 4)
+    )
+    return ctx, memos
 
 
 @lru_cache(maxsize=200_000)
@@ -330,10 +341,11 @@ def _direct(k: complex, m: complex, x: float) -> complex:
         return _asymptotic(k, m, x)
     # scipy's hyperu drops to ~5 correct digits for moderate x and small
     # indices, so arbitrary precision is used below the asymptotic cutoff
+    ctx = _mp_context()[0]
     try:
-        with _MP.workdps(25):
-            return complex(_MP.whitw(_MP.mpc(k), _MP.mpc(m), _MP.mpf(x)))
-    except (ValueError, libmp.NoConvergence) as e:
+        with ctx.workdps(25):
+            return complex(ctx.whitw(ctx.mpc(k), ctx.mpc(m), ctx.mpf(x)))
+    except (ValueError, ctx.NoConvergence) as e:
         # hypsum and hypercomb give up with a bare ValueError, for instance
         # where W vanishes exactly: W_{2,1/2}(2) = 0 because U(-1, 2, 2) = 0
         reason = str(e).partition("\n")[0]

@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import gc
 import math
@@ -576,3 +577,100 @@ def test_batch_renormalises_like_the_scalar_loop(z, theta, n):
     assert [parts for parts, _ in terms] == [(n,)] + [(n - k, k) for k in range(1, n // 2 + 1)]
     for parts, m in terms:
         assert m == _reference_measure(parts, complex(z), theta)
+
+
+@contextlib.contextmanager
+def _cold_store():
+    """An empty store of walked strata for the block."""
+    saved = measures._strata
+    measures._strata = measures._StratumStore()
+    try:
+        yield measures._strata
+    finally:
+        measures._strata = saved
+
+
+@pytest.fixture
+def cold_store():
+    with _cold_store() as store:
+        yield store
+
+
+# generic z, and z on the theta lattice, whose zero cuts differ by theta
+_STORE_Z = st.one_of(
+    st.sampled_from((1.0, 1.5, 2.5)),
+    st.builds(complex, st.floats(-1.5, 1.5), st.floats(0.05, 1.5) | st.floats(-1.5, -0.05)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(THETAS),
+    _STORE_Z,
+    _STORE_Z,
+    st.lists(st.integers(1, 5), min_size=1, max_size=2, unique=True),
+    st.integers(1, 14),
+)
+def test_stratum_from_store_warmed_at_another_z_bit_identical(theta, z_warm, z, bs, n):
+    bs = tuple(sorted(bs))
+    shifts = column_shifts(theta, n)
+    with _cold_store():
+        cold = measures._stratum_sum(n, measures._MeasureEngine(z, theta), shifts, bs)
+    with _cold_store() as store:
+        warm_eng = measures._MeasureEngine(z_warm, theta)
+        measures._stratum_sum(n, warm_eng, shifts, bs)
+        eng = measures._MeasureEngine(z, theta)
+        warm = measures._stratum_sum(n, eng, shifts, bs)
+        # one walk when the two z cut the stratum alike
+        assert len(store._entries) == (1 if warm_eng.zero_cut(n) == eng.zero_cut(n) else 2)
+    p = ZParams(z, theta)
+    total, count = _reference_stratum_sum(n, p, bs, *_zero_cuts(p))
+    assert warm[0].hex() == cold[0].hex() == total.hex()
+    assert warm[1] == cold[1] == count
+
+
+def test_new_z_walks_only_strata_it_cuts_otherwise(cold_store, monkeypatch):
+    walked = []
+    real = measures._walk_stratum
+
+    def counting(n, *args):
+        walked.append(n)
+        return real(n, *args)
+
+    monkeypatch.setattr(measures, "_walk_stratum", counting)
+    X = [_H * 3, _H * 5]
+    lattice_correlation(X, ZParams(0.3 + 0.7j, 0.5, 0.6), 20)
+    assert len(walked) == 20
+    lattice_correlation(X[::-1], ZParams(-0.4 + 0.2j, 0.5, 0.8), 20)
+    assert len(walked) == 20
+    # z = 1.5 at theta = 1/2 keeps at most 3 rows: sizes 4..20 are cut anew
+    lattice_correlation(X, ZParams(1.5, 0.5, 0.6), 20)
+    assert walked[20:] == list(range(4, 21))
+
+
+def test_store_keeps_exact_theta_apart(cold_store):
+    # one float, two thetas: 1/3 shifts column j >= 2 by 3(j-1), its float by
+    # one more, so only the one-cell stratum, with its one column, is shared
+    X = [_H * 3]
+    exact = lattice_correlation(X, ZParams(0.3 + 0.7j, Fraction(1, 3), 0.5), 12)
+    rounded = lattice_correlation(X, ZParams(0.3 + 0.7j, 1 / 3, 0.5), 12)
+    assert len(cold_store._entries) == 1 + 2 * 11
+    assert exact.value != rounded.value
+    with _cold_store():
+        alone = _fresh_report(X, ZParams(0.3 + 0.7j, 1 / 3, 0.5), 12)
+    assert _report_hex(rounded) == _report_hex(alone)
+
+
+def test_store_stays_within_its_budget(cold_store, monkeypatch):
+    monkeypatch.setattr(measures, "_STORE_BYTES", 48 << 10)
+    first = _fresh_report([_H * 3], ZParams(0.3 + 0.7j, 0.5, 0.6), 22)
+    for z in (0.7 - 0.2j, 1.5, 2.5, -1.2 + 0.4j):
+        for X in ([_H * 3], [_H * 5], [_H * 3, _H * 7], [_H * 9]):
+            for theta in (Fraction(1, 2), Fraction(1, 3)):
+                lattice_correlation(X, ZParams(z, theta, 0.6), 22)
+                assert cold_store.used <= measures._STORE_BYTES
+                assert cold_store.used == sum(map(measures._entry_bytes, cold_store._entries.values()))
+    # the strata of the first call left the store long ago, and a stratum
+    # larger than the whole budget was never kept
+    assert len(cold_store._entries) < 4 * 4 * 2 * 22
+    assert _report_hex(_fresh_report([_H * 3], ZParams(0.3 + 0.7j, 0.5, 0.6), 22)) == _report_hex(first)

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from zmeasures.errors import DomainError, ParameterError, ResourceCapError
 from zmeasures.kernels import KernelParams, w_a
-from zmeasures.measures import ZParams, _MeasureEngine, lattice_correlation, schur_correlation
+from zmeasures.measures import ZParams, _hook_log_sum, _MeasureEngine, lattice_correlation, schur_correlation
 from zmeasures.partitions import (
     HALF,
     LatticeConfig,
@@ -66,17 +66,49 @@ def test_hook_products_theta_one_is_hook_length_squared_shifted():
     assert h == pytest.approx(4 * 2 * 1 * 1)
 
 
+def _engine_pochhammer(z, theta, parts):
+    """2 log|(z)_{lam,theta}| summed from the measure engine's row tables,
+    and whether a row of lam reaches a zero factor there."""
+    eng = _MeasureEngine(z, theta)
+    for i, p in enumerate(parts, start=1):
+        eng._ensure_row(i, p)
+    vanishes = any(p >= eng._row_zero[i] for i, p in enumerate(parts))
+    return sum(eng._row_logs[i][p] for i, p in enumerate(parts)), vanishes
+
+
+# generic z, and z with a zero factor: in the second row at its first
+# column (0.5, 1/2), in the first row at its third (-2), and in the second
+# row at its second column only (-2/3, 1/3)
+_POCHHAMMER_CASES = [(1.3 + 0.4j, 0.5), (0.3 - 0.7j, 2.0), (-1.5 + 0.2j, 1 / 3), (0.5, 0.5), (-2.0, 1.0),
+                     (-2 / 3, 1 / 3)]
+
+
 def test_generalized_pochhammer_row_factorization():
     lam = YoungDiagram((2, 1))
     z = 1.3 + 0.4j
     th = 0.5
     expected = (z) * (z + 1) * (z - th)
     assert generalized_pochhammer(z, lam, th) == pytest.approx(expected)
+    # the engine keeps the same product row by row, as cumulative logs
+    for z, th in _POCHHAMMER_CASES:
+        for n in range(1, 9):
+            for parts in iter_partition_tuples(n):
+                g = generalized_pochhammer(z, YoungDiagram(parts), th)
+                logs, vanishes = _engine_pochhammer(z, th, parts)
+                assert vanishes == (g == 0), (z, th, parts)
+                if g:
+                    assert math.isclose(logs, 2 * math.log(abs(g)), rel_tol=1e-12, abs_tol=1e-12), (z, th, parts)
 
 
 def test_generalized_pochhammer_exact_zero():
     # z = theta kills the (2,1) box factor z - theta
     assert generalized_pochhammer(0.5, YoungDiagram((1, 1)), 0.5) == 0
+    assert _engine_pochhammer(0.5, 0.5, (1, 1))[1]
+    assert not _engine_pochhammer(0.5, 0.5, (2,))[1]
+    # z = -2/3 at theta = 1/3 only kills the box (2, 2)
+    assert generalized_pochhammer(-2 / 3, YoungDiagram((2, 2)), 1 / 3) == 0
+    assert _engine_pochhammer(-2 / 3, 1 / 3, (2, 2))[1]
+    assert not _engine_pochhammer(-2 / 3, 1 / 3, (5, 1, 1))[1]
 
 
 def test_frobenius_coordinates_theta_one():
@@ -183,14 +215,15 @@ def _log(f: Fraction) -> float:
 
 @pytest.mark.parametrize("theta", ORACLE_THETAS)
 def test_hook_products_match_exact_definition(theta):
-    eng = _MeasureEngine(1.0, float(theta))
     for n in range(11):
         for parts in iter_partition_tuples(n):
             h, hp = hook_products(YoungDiagram(parts), theta)
             eh, ehp = _exact_hook_products(parts, theta)
             assert math.isclose(h, eh, rel_tol=1e-13), (parts, theta)
             assert math.isclose(hp, ehp, rel_tol=1e-13), (parts, theta)
-            assert math.isclose(eng.hook_log_sum(parts), _log(eh) + _log(ehp), rel_tol=1e-13, abs_tol=1e-13)
+            assert math.isclose(
+                _hook_log_sum(parts, float(theta)), _log(eh) + _log(ehp), rel_tol=1e-13, abs_tol=1e-13
+            )
 
 
 def test_half_integer():
@@ -218,6 +251,7 @@ _MALFORMED = {
     "config nan": (lambda: LatticeConfig((math.nan,), ()), DomainError),
     "config abc": (lambda: LatticeConfig((), ("abc",)), DomainError),
     "zparams theta abc": (lambda: ZParams(0.5, "abc"), ParameterError),
+    "zparams theta nan": (lambda: ZParams(0.5, math.nan), ParameterError),
 }
 
 

@@ -4,6 +4,7 @@ wraps, and the modules an import pulls in."""
 
 import ast
 import importlib
+import json
 import os
 import re
 import subprocess
@@ -171,11 +172,47 @@ def test_traced_names_resolve():
     assert missing == []
 
 
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports the package from ``src``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+
+
 def test_import_loads_no_scipy():
     """The package runs on numpy and mpmath alone; importing scipy would
     add about a quarter of a second to every process's start-up."""
     modules = ", ".join(f"zmeasures.{p.stem}" for p in SOURCES if p.stem != "__init__")
     code = f"import sys, {modules}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert proc.stdout.strip() == "[]"
+    assert _fresh_python(code).stdout.strip() == "[]"
+
+
+def test_correlations_load_no_mpmath():
+    """Only W below ASYMPTOTIC_X needs mpmath, so it is imported at the first
+    such call: the CLI's import, a lattice correlation and a continuum
+    correlation, whose tables are seeded at x = 200, leave it unloaded."""
+    code = (
+        "import sys, zmeasures.cli\n"
+        "from zmeasures.correlations import continuum_correlation\n"
+        "from zmeasures.measures import ZParams, lattice_correlation\n"
+        "lattice_correlation(['3/2', '7/2'], ZParams(0.3 + 0.4j, 0.5, 0.6), 16)\n"
+        "continuum_correlation([0.8, 1.7], 0.3 + 0.4j)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath'))"
+    )
+    assert _fresh_python(code).stdout.strip() == "[]"
+
+
+def test_whittaker_readme_line_loads_mpmath_and_prints_reference():
+    """The README ``whittaker`` line needs mpmath, builds the context on its
+    first W, and prints the stdout stored for it byte for byte."""
+    reference = json.loads((ROOT / "perfbench" / "reference" / "cli.json").read_text())
+    op = next(op for op in reference["ops"] if op["id"] == "whittaker")
+    code = (
+        "import contextlib, io, sys\n"
+        "from zmeasures import cli\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        f"    code = cli.run({op['argv']!r})\n"
+        "print(repr((code, 'mpmath' in sys.modules, out.getvalue())))"
+    )
+    got = ast.literal_eval(_fresh_python(code).stdout)
+    assert got == (op["expect"]["returncode"], True, op["expect"]["stdout"])

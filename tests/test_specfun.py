@@ -180,23 +180,24 @@ def test_mpmath_convergence_failure_is_numerical_error(monkeypatch, error):
     def fail(*args):
         raise error
 
-    monkeypatch.setattr(specfun._MP, "whitw", fail)
+    monkeypatch.setattr(specfun._mp_context()[0], "whitw", fail)
     with pytest.raises(NumericalError, match="mpmath did not converge") as info:
         specfun._direct.__wrapped__(-0.5 + 0j, 0.5j, 1.0)
     assert "\n" not in str(info.value)
 
 
 def test_memo_caches_bounded_and_global_mpmath_untouched():
-    hits = sum(memo.cache_info().hits for memo in specfun._MEMOS)
+    context, memos = specfun._mp_context()
+    hits = sum(memo.cache_info().hits for memo in memos)
     for i in range(40):
         z = complex(0.05 * i, 0.1 * i - 2.0)
         for x in (1.0 + 0.01 * i, 2.0 + 0.01 * i):
             whittaker_W(-2.0 * z.real - 0.5, complex(0.0, -2.0 * z.imag), x)
     # the second x at each index pair reuses the factors of the first
-    assert sum(memo.cache_info().hits for memo in specfun._MEMOS) > hits
-    for memo in specfun._MEMOS:
+    assert sum(memo.cache_info().hits for memo in memos) > hits
+    for memo in memos:
         info = memo.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize
     assert mpmath.mp.prec == 53
     for name in ("gamma", "rgamma", "sinpi"):
-        assert getattr(mpmath.mp, name) is not getattr(specfun._MP, name)
+        assert getattr(mpmath.mp, name) is not getattr(context, name)
