@@ -182,12 +182,12 @@ def _cmd_whittaker(args) -> list[dict]:
     m = args.m
     rows = []
     for x in args.x:
-        v = whittaker_W(args.k, m, x, method=args.method)
+        v = whittaker_W(args.k, m, x)
         rows.append(
             {
                 "x": repr(x),
                 "W": repr(v),
-                "W_deriv": repr(whittaker_W_deriv(args.k, m, x, method=args.method)),
+                "W_deriv": repr(whittaker_W_deriv(args.k, m, x)),
             }
         )
     return rows
@@ -316,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=float, required=True)
     sp.add_argument("--m", type=_parse_complex, required=True)
     sp.add_argument("--x", type=_parse_float_list, required=True)
-    sp.add_argument("--method", choices=("direct", "integral"), default="direct")
     _add_common(sp)
     sp.set_defaults(fn=_cmd_whittaker)
 

@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -90,18 +91,37 @@ from .partitions import (
 
 LATTICE_NMAX_CAP = 200
 
+# The largest a = |z|^2/theta accepted.  The normaliser lgamma(a + n) -
+# lgamma(a) cancels as a grows: the worst |sum_{|lam|=n} M - 1| over
+# n in {3, 10, 12}, theta from 1e-3 to 1e3 and three arguments of z is
+# 1.9e-14 at a = 30, 1.1e-12 at 1e3, 1.5e-11 at 1e4 and 3.7e-10 at 1e5,
+# whatever theta; below a = 30 it stays under 2e-13 down to a = 1e-300.
+A_MAX = 1e4
+
 
 @dataclass(frozen=True)
 class ZParams:
-    """Parameters (z, theta, xi) shared by all measures and kernels."""
+    """Parameters (z, theta, xi) shared by all measures and kernels.
+
+    Refused with ParameterError: z zero or not finite, theta not a finite
+    positive number, xi outside [0, 1), a = |z|^2/theta above A_MAX, and
+    |z|^2 or a below the normal floats, where they carry fewer than 53
+    bits (at |z| = 1e-160 the z-measure of one size summed to 1.00001)."""
 
     z: complex
     theta: float = 0.5
     xi: float = 0.0
 
     def __post_init__(self):
-        validate_z(self.z)
-        _as_fraction(self.theta)
+        z = validate_z(self.z)
+        # a product, where abs(z) ** 2 would raise OverflowError
+        t = abs(z) * abs(z)
+        a = t / float(_as_fraction(self.theta))
+        if not (sys.float_info.min <= min(t, a) and a <= A_MAX):
+            raise ParameterError(
+                f"need |z|^2 and a = |z|^2/theta normal floats with a <= {A_MAX:g}, "
+                f"got |z|^2 = {t:.3g}, a = {a:.3g}"
+            )
         if not (0 <= self.xi < 1):
             raise ParameterError(f"xi must lie in [0, 1), got {self.xi}")
 

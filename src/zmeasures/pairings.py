@@ -117,10 +117,15 @@ def cycle_count(x: Matching) -> int:
 
 
 def t_measure(x: Matching, t: float) -> float:
-    """t^{circles} / (t (t+2) ... (t+2n-2))."""
+    """t^{circles} / (t (t+2) ... (t+2n-2)); ParameterError unless t > 0
+    and t^{circles} is a finite float."""
     if not t > 0:
         raise ParameterError(f"t must be positive, got {t}")
-    num = t ** cycle_count(x)
+    circles = cycle_count(x)
+    try:
+        num = t**circles
+    except OverflowError:
+        raise ParameterError(f"t = {t} overflows t^{circles}") from None
     den = 1.0
     for k in range(x.n):
         den *= t + 2 * k

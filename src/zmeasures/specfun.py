@@ -8,28 +8,21 @@ prefactor 1/|Gamma(-2z - a + 1/2)| of the continuum kernel, so the kernel
 values do not depend on whether scipy is installed: the package needs
 only numpy and mpmath.
 
-Two evaluation routes for W are available, chosen by the ``method`` of
-``whittaker_W`` and ``whittaker_W_deriv``; ``whittaker_W_second`` and
-``whittaker_W_third`` take the direct route:
-
-* ``direct``  - mpmath's ``whitw`` at 25 digits for x <= ASYMPTOTIC_X
-  (scipy's hyperu loses digits there), and the Poincare asymptotic
-  series above it.  Where that series stalls before reaching its
-  accuracy target the call is refused with NumericalError, and so is a
-  call where mpmath's hypergeometric sums fail to converge (at an exact
-  zero such as W_{2,1/2}(2), for instance).  whitw runs in a private
-  mpmath context that memoizes Gamma, 1/Gamma and sin(pi .): hyperu takes
-  them at parameters fixed by (k, m), the same at every quadrature node,
-  and they cost a third of a call.  The values are bit for bit those of
-  plain ``mpmath.whitw``, and the global ``mpmath.mp`` is left alone.
-  The context is built, and mpmath imported, at the first call below
-  ASYMPTOTIC_X (``_mp_context``).  Lattice correlations and the
-  continuum tables make no such call, so a process that computes only
-  those never imports mpmath.
-* ``integral`` - the real-integral representation of the Tricomi
-  function, admissible for Re(m - k + 1/2) > 0 after exploiting the
-  m -> -m symmetry; kept fully independent of the direct route so the
-  two can be cross-checked.
+W is evaluated one way: by mpmath's ``whitw`` at 25 digits for
+x <= ASYMPTOTIC_X (scipy's hyperu loses digits there), and by the
+Poincare asymptotic series above it.  Where that series stalls before
+reaching its accuracy target the call is refused with NumericalError,
+and so is a call where mpmath's hypergeometric sums fail to converge (at
+an exact zero such as W_{2,1/2}(2), for instance).  whitw runs in a
+private mpmath context that memoizes Gamma, 1/Gamma and sin(pi .): hyperu
+takes them at parameters fixed by (k, m), the same at every quadrature
+node, and they cost a third of a call.  The values are bit for bit those
+of plain ``mpmath.whitw``, and the global ``mpmath.mp`` is left alone.
+The context is built, and mpmath imported, at the first call below
+ASYMPTOTIC_X (``_mp_context``).  Lattice correlations and the continuum
+tables make no such call, so a process that computes only those never
+imports mpmath.  The tests check this route against an independent one,
+the Tricomi integral of ``tests/oracles.py``.
 
 Arguments outside the validated accuracy box (x in [1e-3, 200],
 |k| <= 6, |m| <= 6 componentwise) raise UnvalidatedDomainError rather
@@ -52,9 +45,7 @@ import sys
 from functools import lru_cache
 
 from .errors import DomainError, NumericalError, PoleError, UnvalidatedDomainError
-from .quadrature import adaptive_gauss_legendre
-
-_QUAD_ABS_FLOOR = 1e-20
+from .quadrature import adaptive_gauss_legendre  # noqa: F401 (perfbench/tracing.py wraps it here)
 
 X_MIN = 1e-3
 X_MAX = 200.0
@@ -352,66 +343,7 @@ def _direct(k: complex, m: complex, x: float) -> complex:
         raise NumericalError(f"mpmath did not converge for W_{{{k},{m}}}({x}): {reason}") from e
 
 
-@lru_cache(maxsize=50_000)
-def _integral(k: complex, m: complex, x: float) -> complex:
-    """Tricomi integral: U(a,b,x) = Gamma(a)^{-1} int_0^inf e^{-xt}
-    t^{a-1} (1+t)^{b-a-1} dt, with the m -> -m symmetry used to get the
-    admissible sign and a power substitution taming the endpoint."""
-    candidates = [m, -m]
-    candidates.sort(key=lambda mm: -(mm - k + 0.5).real)
-    mu = candidates[0]
-    a = mu - k + 0.5
-    if a.real <= 0.05:
-        raise DomainError(
-            f"integral representation inadmissible: Re(m - k + 1/2) = {a.real:.3f}"
-        )
-    b = 1.0 + 2.0 * mu
-    q = max(1, math.ceil(2.0 / a.real))
-    qa = q * a
-
-    def near(v: float) -> complex:
-        # t = v^q on t in [0, 1]
-        if v == 0.0:
-            return 0.0
-        t = v**q
-        return q * cmath.exp(-x * t + (qa - 1) * math.log(v) + (b - a - 1) * math.log1p(t))
-
-    def far(t: float) -> complex:
-        return cmath.exp(-x * t + (a - 1) * math.log(t) + (b - a - 1) * math.log1p(t))
-
-    # crude scale from the t <= 1 piece for tail cutoff control
-    p = max((a - 1).real + (b - a - 1).real, 0.0)
-    T = 2.0
-    while x * T - p * math.log(T) < 45.0 and T < 1e8:
-        T *= 2.0
-    breaks = []
-    s = 2.0
-    while s < T:
-        breaks.append(s)
-        s *= 2.0
-
-    tol = 1e-13
-    v1 = _quad_complex(near, 0.0, 1.0, tol)
-    v2 = _quad_complex(far, 1.0, T, tol, breaks)
-    u = (v1 + v2) * cmath.exp(-log_gamma(a))
-    return cmath.exp(-x / 2 + (mu + 0.5) * cmath.log(x)) * u
-
-
-def _quad_complex(f, lo, hi, tol, breaks=()) -> complex:
-    """The real and imaginary parts as the two components of one integrand,
-    each on its own panel tree, so f is called once per node."""
-
-    def parts(t: float) -> tuple[float, float]:
-        v = f(t)
-        return v.real, v.imag
-
-    (re, _), (im, _) = adaptive_gauss_legendre(
-        parts, lo, hi, tol, breaks, abs_floor=_QUAD_ABS_FLOOR, components=2
-    )
-    return complex(re, im)
-
-
-def _realify(v: complex, k: complex, m: complex) -> float:
+def _realify(v: complex) -> float:
     if abs(v.imag) > 1e-10 * max(abs(v), 1e-300):
         raise NumericalError(
             f"Whittaker value expected real, got imaginary residue {v.imag:.3e}"
@@ -419,7 +351,7 @@ def _realify(v: complex, k: complex, m: complex) -> float:
     return v.real
 
 
-def whittaker_W(k, m, x: float, method: str = "direct") -> float:
+def whittaker_W(k, m, x: float) -> float:
     """W_{k,m}(x) for k real and m real or purely imaginary."""
     kc, mc = complex(k), complex(m)
     if not (kc.imag == 0 and (mc.imag == 0 or mc.real == 0)):
@@ -427,42 +359,37 @@ def whittaker_W(k, m, x: float, method: str = "direct") -> float:
             f"need k real and m real or purely imaginary, got k={k}, m={m}"
         )
     _validate(kc, mc, x)
-    if method == "direct":
-        return _realify(_direct(kc, mc, float(x)), kc, mc)
-    if method == "integral":
-        return _realify(_integral(kc, mc, float(x)), kc, mc)
-    raise DomainError(f"unknown method {method!r}")
+    return _realify(_direct(kc, mc, float(x)))
 
 
-def whittaker_W_deriv(k, m, x: float, method: str = "direct") -> float:
+def whittaker_W_deriv(k, m, x: float) -> float:
     """dW_{k,m}/dx via the contiguous relation
     x W' = (k - x/2) W - (m^2 - (k - 1/2)^2) W_{k-1,m}."""
     kc, mc = complex(k), complex(m)
     _validate(kc - 1.0, mc, x)
-    w0 = whittaker_W(kc, mc, x, method)
+    w0 = whittaker_W(kc, mc, x)
     coeff = mc * mc - (kc - 0.5) ** 2
     if coeff == 0:
         w1 = 0.0
     else:
-        w1 = whittaker_W(kc - 1.0, mc, x, method)
+        w1 = whittaker_W(kc - 1.0, mc, x)
     val = ((kc - x / 2.0) * w0 - coeff * w1) / x
-    return _realify(complex(val), kc, mc)
+    return _realify(complex(val))
 
 
 def whittaker_W_second(k, m, x: float) -> float:
     """d2W/dx2 from the Whittaker equation
-    W'' = (1/4 - k/x + (m^2 - 1/4)/x^2) W, on the direct route."""
+    W'' = (1/4 - k/x + (m^2 - 1/4)/x^2) W."""
     kc, mc = complex(k), complex(m)
     q = 0.25 - kc / x + (mc * mc - 0.25) / (x * x)
-    return _realify(q * whittaker_W(kc, mc, x), kc, mc)
+    return _realify(q * whittaker_W(kc, mc, x))
 
 
 def whittaker_W_third(k, m, x: float) -> float:
-    """d3W/dx3 by differentiating the Whittaker equation, on the direct
-    route."""
+    """d3W/dx3 by differentiating the Whittaker equation."""
     kc, mc = complex(k), complex(m)
     q = 0.25 - kc / x + (mc * mc - 0.25) / (x * x)
     qp = kc / (x * x) - 2.0 * (mc * mc - 0.25) / (x * x * x)
     w = whittaker_W(kc, mc, x)
     wp = whittaker_W_deriv(kc, mc, x)
-    return _realify(qp * w + q * wp, kc, mc)
+    return _realify(qp * w + q * wp)

@@ -2,24 +2,28 @@
 
 The package's callers use none of these.  Some are independent routes to
 a value the package computes another way (the recursive Pfaffian, the
-generalized Pochhammer symbol box by box, the preimages of a projection
-by search); some restate an identity (the duality of the z-measure);
-the rest enumerate test cases or expose intermediate results.
+Tricomi integral for W, the generalized Pochhammer symbol box by box,
+the preimages of a projection by search); some restate an identity (the
+duality of the z-measure); the rest enumerate test cases or expose
+intermediate results.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from typing import Iterator, Sequence
 
 import numpy as np
 
+from zmeasures import specfun
 from zmeasures.errors import DomainError
 from zmeasures.measures import ZParams, _MeasureEngine, _stratum_measures, z_measure
 from zmeasures.pairings import Matching, enumerate_matchings, project
 from zmeasures.partitions import YoungDiagram, _as_fraction, conjugate_parts, hook_rows, iter_partition_tuples
 from zmeasures.pfaffian import AntisymmetricMatrix
+from zmeasures.quadrature import adaptive_gauss_legendre
 
 Perm = tuple[int, ...]
 
@@ -45,6 +49,78 @@ def pfaffian_expansion(A: AntisymmetricMatrix | np.ndarray) -> float:
         return total
 
     return rec(tuple(range(m.shape[0])))
+
+
+def whittaker_integral(k, m, x: float) -> float:
+    """W_{k,m}(x) from the real-integral representation of the Tricomi
+    function, independent of ``specfun.whittaker_W``'s mpmath and
+    asymptotic-series route; the same argument checks.  Admissible for
+    Re(m - k + 1/2) > 0 after the m -> -m symmetry, DomainError otherwise."""
+    kc, mc = complex(k), complex(m)
+    if not (kc.imag == 0 and (mc.imag == 0 or mc.real == 0)):
+        raise DomainError(
+            f"need k real and m real or purely imaginary, got k={k}, m={m}"
+        )
+    specfun._validate(kc, mc, x)
+    return specfun._realify(_tricomi_whittaker(kc, mc, float(x)))
+
+
+def _tricomi_whittaker(k: complex, m: complex, x: float) -> complex:
+    """Tricomi integral: U(a,b,x) = Gamma(a)^{-1} int_0^inf e^{-xt}
+    t^{a-1} (1+t)^{b-a-1} dt, with the m -> -m symmetry used to get the
+    admissible sign and a power substitution taming the endpoint."""
+    candidates = [m, -m]
+    candidates.sort(key=lambda mm: -(mm - k + 0.5).real)
+    mu = candidates[0]
+    a = mu - k + 0.5
+    if a.real <= 0.05:
+        raise DomainError(
+            f"integral representation inadmissible: Re(m - k + 1/2) = {a.real:.3f}"
+        )
+    b = 1.0 + 2.0 * mu
+    q = max(1, math.ceil(2.0 / a.real))
+    qa = q * a
+
+    def near(v: float) -> complex:
+        # t = v^q on t in [0, 1]
+        if v == 0.0:
+            return 0.0
+        t = v**q
+        return q * cmath.exp(-x * t + (qa - 1) * math.log(v) + (b - a - 1) * math.log1p(t))
+
+    def far(t: float) -> complex:
+        return cmath.exp(-x * t + (a - 1) * math.log(t) + (b - a - 1) * math.log1p(t))
+
+    # crude scale from the t <= 1 piece for tail cutoff control
+    p = max((a - 1).real + (b - a - 1).real, 0.0)
+    T = 2.0
+    while x * T - p * math.log(T) < 45.0 and T < 1e8:
+        T *= 2.0
+    breaks = []
+    s = 2.0
+    while s < T:
+        breaks.append(s)
+        s *= 2.0
+
+    tol = 1e-13
+    v1 = _quad_complex(near, 0.0, 1.0, tol)
+    v2 = _quad_complex(far, 1.0, T, tol, breaks)
+    u = (v1 + v2) * cmath.exp(-specfun.log_gamma(a))
+    return cmath.exp(-x / 2 + (mu + 0.5) * cmath.log(x)) * u
+
+
+def _quad_complex(f, lo, hi, tol, breaks=()) -> complex:
+    """The real and imaginary parts as the two components of one integrand,
+    each on its own panel tree, so f is called once per node."""
+
+    def parts(t: float) -> tuple[float, float]:
+        v = f(t)
+        return v.real, v.imag
+
+    (re, _), (im, _) = adaptive_gauss_legendre(
+        parts, lo, hi, tol, breaks, abs_floor=1e-20, components=2
+    )
+    return complex(re, im)
 
 
 def enumerate_partitions(n: int) -> list[YoungDiagram]:

@@ -194,6 +194,37 @@ def test_malformed_permutation_exit_2(g):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # |z|^2 or t^circles overflows
+        "zmeasure --z 1e300,0 --n 2",
+        "mixed --z 1e200,0 --xi 0.5 --n 2",
+        "gelfand --n 2 --g 1,2 --z 1e300,0",
+        "lattice-corr --z 1e200,0 --xi 0.5 --x 3/2 --nmax 5",
+        "pairings --n 2 --t 1e200",
+        # a = |z|^2/theta is inf
+        "zmeasure --z 1e154,0 --n 2",
+        "zmeasure --z 1,0 --theta 1e-320 --n 2",
+        # a above measures.A_MAX: the table's TOTAL read 5.3e-63 and 8.0e60
+        "zmeasure --z 1e8,0 --n 3",
+        "zmeasure --z 1e10,0 --n 3",
+        # |z|^2 below the normal floats: a = 0, and a TOTAL of 1.00001
+        "zmeasure --z 1e-200,0 --n 2",
+        "zmeasure --z 1e-160,0 --n 2",
+    ],
+)
+def test_out_of_range_parameters_exit_2(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "zmeasures.cli", *argv.split()],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+
+
 def test_determinism_across_workers(capsys):
     argv = [
         "lattice-corr",
@@ -300,7 +331,7 @@ _FUZZ_COMMANDS = {
         {"--z": "0.3,0.4", "--u": "1.0", "--xi": "0.5", "--nmax": "5"},
     ),
 }
-_BAD = ("nan", "inf", "-inf", "", "abc", "-1", "1e400", "0")
+_BAD = ("nan", "inf", "-inf", "", "abc", "-1", "1e400", "0", "1e300", "1e-320")
 
 
 @st.composite

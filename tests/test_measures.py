@@ -1,3 +1,4 @@
+import cmath
 import contextlib
 import functools
 import gc
@@ -6,7 +7,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from zmeasures import measures
 from zmeasures.errors import DomainError, ParameterError, ResourceCapError
@@ -59,6 +60,32 @@ def test_zparams_validation():
 def test_zparams_rejects_non_finite(z, theta):
     with pytest.raises(ParameterError):
         ZParams(z, theta, 0.5)
+
+
+# log10 |z| over the whole float range, and again near a = measures.A_MAX
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(st.floats(-170.0, 170.0), st.floats(-1.0, 4.0)),
+    st.floats(0.0, 2 * math.pi),
+    st.sampled_from((1e-3, Fraction(1, 3), 0.5, 1.0, 2.0, 1e3)),
+)
+@example(2.0, 0.0, 0.5)  # a = 2e4
+@example(0.5 * math.log10(0.999 * measures.A_MAX * 0.5), 1.0, 0.5)  # a = 0.999 A_MAX
+@example(-160.0, 0.0, 0.5)  # |z|^2 below the normal floats
+def test_accepted_z_measure_sums_to_one(log10_abs_z, arg, theta):
+    """Where ZParams accepts (z, theta), the z-measure at each size n <= 12
+    sums to 1 within 1e-10; it refuses only where |z|^2 or a leaves the
+    normal floats or a exceeds A_MAX."""
+    z = cmath.rect(10.0**log10_abs_z, arg)
+    log10_a = 2 * log10_abs_z - math.log10(theta)
+    try:
+        p = ZParams(z, theta)
+    except ParameterError:
+        assert not (-300 < min(2 * log10_abs_z, log10_a) and log10_a < math.log10(measures.A_MAX) - 1e-9)
+        return
+    for n in range(1, 13):
+        total = math.fsum(z_measure(YoungDiagram(parts), p) for parts in iter_partition_tuples(n))
+        assert abs(total - 1.0) <= 1e-10, (z, theta, n, total)
 
 
 def test_single_box_is_certain():

@@ -1,6 +1,7 @@
 """Source hygiene checks that need no linter: unused imports and
 unreferenced definitions in the package, the names the benchmark's tracer
-wraps, and the modules an import pulls in."""
+wraps (the only names a ``# noqa`` import may keep), and the modules an
+import pulls in."""
 
 import ast
 import importlib
@@ -170,6 +171,37 @@ def test_traced_names_resolve():
         if not hasattr(importlib.import_module(f"zmeasures.{module}"), name)
     ]
     assert missing == []
+
+
+def _untraced_noqa_imports(path: Path, traced: list[tuple[str, str]]) -> list[str]:
+    """Names that an import marked ``# noqa`` binds in the module at
+    ``path`` and that the tracer does not wrap there: such a mark would
+    hide a dead import from ``test_no_unused_imports``."""
+    text = path.read_text()
+    lines = text.splitlines()
+    return [
+        f"{path.name}:{node.lineno} {alias.asname or alias.name}"
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if "# noqa" in lines[alias.lineno - 1]
+        and (path.stem, alias.asname or alias.name) not in traced
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_noqa_imports_are_traced_names(path):
+    assert _untraced_noqa_imports(path, _traced_names()) == []
+
+
+def test_noqa_import_check_finds_one(tmp_path):
+    src = tmp_path / "cli.py"
+    src.write_text(
+        "from .correlations import continuum_correlation  # noqa: F401\n"
+        "from .pairings import project  # noqa: F401\n"
+        "import os\n"
+    )
+    assert _untraced_noqa_imports(src, [("cli", "continuum_correlation")]) == ["cli.py:2 project"]
 
 
 def _fresh_python(code: str) -> subprocess.CompletedProcess:
