@@ -1,7 +1,8 @@
 """Command-line interface: every computation behind one batch binary.
 
 Complex parameters are written "re,im" (e.g. --z 0.3,0.4); half-integers
-either as exact fractions "19/2" or decimals ending in .5.  Output is
+either as exact fractions "19/2" or decimals ending in .5; --theta as an
+exact fraction or decimal ("1/3", "0.3" = 3/10) in every command.  Output is
 CSV (default) or JSON via --format, to stdout or --out.  Exit codes:
 0 success, 2 parameter/usage error, 3 numerical error.
 """
@@ -31,6 +32,7 @@ from .measures import (
 )
 from .pairings import cycle_count, enumerate_matchings, t_measure
 from .partitions import (
+    HALF,
     YoungDiagram,
     _as_fraction,
     frobenius_coordinates,
@@ -81,12 +83,10 @@ def _add_common(sp: argparse.ArgumentParser):
 
 
 def _cmd_partitions(args) -> list[dict]:
-    # the decimal the user typed, so that 0.1 means exactly 1/10
-    theta = _as_fraction(str(args.theta))
     rows = []
     for parts in iter_partition_tuples(args.n, max_rows=args.max_rows):
         lam = YoungDiagram(parts)
-        cfg = frobenius_coordinates(lam, theta)
+        cfg = frobenius_coordinates(lam, args.theta)
         rows.append(
             {
                 "partition": " ".join(map(str, parts)),
@@ -265,21 +265,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("partitions", help="enumerate partitions with (A|B) coordinates")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--theta", type=float, default=0.5)
+    sp.add_argument("--theta", type=_as_fraction, default=HALF)
     sp.add_argument("--max-rows", type=int, default=None)
     _add_common(sp)
     sp.set_defaults(fn=_cmd_partitions)
 
     sp = sub.add_parser("zmeasure", help="z-measure table for partitions of n")
     sp.add_argument("--z", type=_parse_complex, required=True)
-    sp.add_argument("--theta", type=float, default=0.5)
+    sp.add_argument("--theta", type=_as_fraction, default=HALF)
     sp.add_argument("--n", type=int, required=True)
     _add_common(sp)
     sp.set_defaults(fn=_cmd_zmeasure)
 
     sp = sub.add_parser("mixed", help="mixed z-measure table up to size n")
     sp.add_argument("--z", type=_parse_complex, required=True)
-    sp.add_argument("--theta", type=float, default=0.5)
+    sp.add_argument("--theta", type=_as_fraction, default=HALF)
     sp.add_argument("--xi", type=float, required=True)
     sp.add_argument("--n", type=int, required=True)
     _add_common(sp)
@@ -287,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("lattice-corr", help="lattice correlation function at half-integer points")
     sp.add_argument("--z", type=_parse_complex, required=True)
-    sp.add_argument("--theta", type=float, default=0.5)
+    sp.add_argument("--theta", type=_as_fraction, default=HALF)
     sp.add_argument("--xi", type=float, required=True)
     sp.add_argument("--x", nargs="+", required=True)
     sp.add_argument("--nmax", type=int, default=60)
@@ -347,11 +347,12 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     ap = build_parser()
     try:
+        # --theta is read by _as_fraction, whose ParameterError is reported
+        # like any other refusal
         args = ap.parse_args(argv)
+        rows = args.fn(args)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
-    try:
-        rows = args.fn(args)
     except NumericalError as e:
         print(f"numerical error: {e}", file=sys.stderr)
         return 3

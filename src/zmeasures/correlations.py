@@ -13,12 +13,15 @@ harness rescales lattice correlation probabilities
 by (1-xi)^{-n} along a xi-ladder, with the lattice points chosen as the
 half-integers nearest to u/(1-xi) (ties broken downward, computed in
 exact rational arithmetic for reproducibility), and compares against the
-continuum value, carrying certified truncation bounds throughout.
+continuum value, carrying certified truncation bounds throughout.  Its
+``n_max`` has the lattice side's cap, ``measures.LATTICE_NMAX_CAP``, and
+a refused u or xi is reported as the float nearest it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -26,10 +29,9 @@ from typing import Sequence
 from . import kernels
 from .errors import DomainError, ParameterError, validate_n_max
 from .kernels import KernelParams
-from .measures import CorrelationReport, ZParams, lattice_correlation
+from .measures import LATTICE_NMAX_CAP, CorrelationReport, ZParams, lattice_correlation
 from .pfaffian import assemble, pfaffian
 
-VERIFY_NMAX_CAP = 200
 DEFAULT_NMAX = 80
 
 
@@ -53,15 +55,20 @@ def _exact(v, what: str = "value") -> Fraction:
         raise ParameterError(f"{what} must be a finite number, got {v!r}") from None
 
 
+def _shown(v: Fraction) -> str:
+    """v for a message as the float nearest it: 1e+300, not 301 digits."""
+    return repr(float(v)) if abs(v) <= sys.float_info.max else ("inf" if v > 0 else "-inf")
+
+
 def lattice_point_for(u, xi) -> Fraction:
     """The element of Z_{>=0} + 1/2 nearest to u/(1-xi); on ties the
     smaller half-integer wins; clamped below at 1/2."""
     uf = _exact(u, "u")
     xif = _exact(xi, "xi")
     if not 0 <= xif < 1:
-        raise ParameterError(f"xi must lie in [0, 1), got {xi}")
+        raise ParameterError(f"xi must lie in [0, 1), got {_shown(xif)}")
     if not uf > 0:
-        raise DomainError(f"u must be positive, got {u}")
+        raise DomainError(f"u must be positive, got {_shown(uf)}")
     y = uf / (1 - xif)
     # nearest m + 1/2 with round-half-down: m = ceil(y - 1)
     m = max(math.ceil(y - 1), 0)
@@ -101,7 +108,7 @@ def verify_limit(
     us = [float(u) for u in u_points]
     if len(set(us)) != len(us):
         raise DomainError(f"u-points must be distinct, got {us}")
-    n_max = validate_n_max(n_max, VERIFY_NMAX_CAP)
+    n_max = validate_n_max(n_max, LATTICE_NMAX_CAP)
     n = len(us)
     # the whole ladder is checked before any correlation is computed
     exact_us = [_exact(u, "u") for u in u_points]

@@ -17,7 +17,8 @@ from typing import Iterable
 
 from .errors import DomainError, ParameterError, ResourceCapError
 from .measures import ZParams, z_measure
-from .partitions import YoungDiagram, iter_partition_tuples
+from .pairings import Matching, circle_lengths
+from .partitions import HALF, YoungDiagram, iter_partition_tuples
 
 COSET_TYPE_CAP = 6  # n, i.e. permutations of up to 12 points
 CHARACTER_CAP = 8  # 2n
@@ -99,38 +100,21 @@ class ThomaPoint:
 
 def coset_type(g: Perm) -> CosetType:
     """Half-sizes of the components of the graph with edges (2i-1, 2i)
-    and (g(2i-1), g(2i))."""
+    and (g(2i-1), g(2i)): the circle lengths of the matching that g makes
+    from the base matching.  Labels 2i-1 and 2i become the signed symbols
+    -i and i, so the base pairs are the negation steps of the walk in
+    ``pairings.circle_lengths``.  DomainError unless g is a permutation
+    of an even number of points."""
     size = len(g)
     if size % 2 != 0:
         raise DomainError("permutation must act on an even number of points")
-    n = size // 2
-    if n > COSET_TYPE_CAP:
+    if size // 2 > COSET_TYPE_CAP:
         raise ResourceCapError(f"coset type capped at n <= {COSET_TYPE_CAP}")
-    parent = list(range(size))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-
-    for i in range(n):
-        union(2 * i, 2 * i + 1)
-        union(g[2 * i], g[2 * i + 1])
-    sizes: dict[int, int] = {}
-    for v in range(size):
-        r = find(v)
-        sizes[r] = sizes.get(r, 0) + 1
-    halves = []
-    for s in sizes.values():
-        assert s % 2 == 0, "odd component in Gamma(g): invariant violation"
-        halves.append(s // 2)
-    return CosetType(tuple(sorted(halves, reverse=True)))
+    if sorted(g) != list(range(size)):
+        raise DomainError(f"g must be a permutation of 0..{size - 1}, got {g}")
+    signed = [v // 2 + 1 if v % 2 else -(v // 2 + 1) for v in g]
+    x = Matching.from_pairs(zip(signed[::2], signed[1::2]))
+    return CosetType(tuple(sorted(circle_lengths(x), reverse=True)))
 
 
 @lru_cache(maxsize=None)
@@ -206,7 +190,7 @@ def zonal_spherical(lam: YoungDiagram | tuple[int, ...], g: Perm) -> Fraction:
 def spherical_restriction(p: ZParams, n: int, g: Perm) -> float:
     """Restriction of the spherical function to S(2n):
     sum over |lam| = n of M^{(n)}_{z, zbar, 1/2}(lam) w^lam(g)."""
-    if float(p.theta) != 0.5:
+    if p.theta != HALF:
         raise ParameterError("the spherical function lives at theta = 1/2")
     if n > ZONAL_CAP:
         raise ResourceCapError(f"spherical restriction capped at n <= {ZONAL_CAP}")

@@ -24,11 +24,13 @@ exponential-envelope bound carried in the reported error estimate.
 One block pipeline (``_BlockPipeline``) owns, per z, the edge integrals A,
 B and the kernel integrals, and turns them into blocks by the S formulas
 with one adaptive quadrature, at the fixed tolerance ``_QUAD_TOL`` = 1e-10,
-and one tail bound.  Integrals over the same nodes are the components of
-one integrand: (K, dK/dy)/sqrt(s) at one (x, y), and, for the points of an
-assembly (``prepare``), (w_-, w_+)/sqrt(s) at one lower limit.  Each
-component keeps its own panel tree, so its value and error are the floats
-it gets when integrated alone.  Two sources of W feed the pipeline:
+and one tail bound, and takes K and dK/dy away from the diagonal from one
+quotient (``_quotient``).  Integrals over the same nodes are the
+components of one integrand: (K, dK/dy)/sqrt(s) at one (x, y), and, for
+the points of an assembly (``prepare``), (w_-, w_+)/sqrt(s) at one lower
+limit.  Each component keeps its own panel tree, so its value and error
+are the floats it gets when integrated alone.  Two sources of W feed the
+pipeline:
 
 * ``_MpmathKernel`` evaluates every w_a(s) through ``specfun.whittaker_W``
   (mpmath below x = 40), one node at a time, and takes K and dK/dy from
@@ -201,19 +203,16 @@ class _BlockPipeline:
         substitution near a small lower endpoint and the asymptotic-switch
         point as a forced panel edge.  A vectorized integrand maps an array
         of nodes to a (k, nodes) array and is accurate to _TABLE_REL_FLOOR,
-        not to rounding."""
+        not to rounding.  Callers pass T = _tail_T(v >= lo) > max(lo, 1)."""
         vec = self._VECTORIZED
         quad = {"vectorized": True, "rel_floor": _TABLE_REL_FLOOR} if vec else {}
-        if T <= lo:
-            return [(0.0, 0.0)] * k
         breaks = set(b for b in inner_breaks if lo < b < T)
         breaks.add(ASYMPTOTIC_X)
         parts = []
         start = lo
         if lo < 1.0:
-            b = min(1.0, T)
-            u_hi = math.sqrt(b - lo)
-            u_breaks = [math.sqrt(p - lo) for p in breaks if p < b]
+            u_hi = math.sqrt(1.0 - lo)
+            u_breaks = [math.sqrt(p - lo) for p in breaks if p < 1.0]
             parts.append(adaptive_gauss_legendre(
                 lambda u: 2.0 * u * f(lo + u * u),
                 0.0,
@@ -224,18 +223,17 @@ class _BlockPipeline:
                 components=k,
                 **quad,
             ))
-            start = b
-        if T > start:
-            parts.append(adaptive_gauss_legendre(
-                f,
-                start,
-                T,
-                _QUAD_TOL,
-                sorted(b for b in breaks if start < b < T),
-                abs_floor=_QUAD_ABS_FLOOR,
-                components=k,
-                **quad,
-            ))
+            start = 1.0
+        parts.append(adaptive_gauss_legendre(
+            f,
+            start,
+            T,
+            _QUAD_TOL,
+            sorted(b for b in breaks if start < b < T),
+            abs_floor=_QUAD_ABS_FLOOR,
+            components=k,
+            **quad,
+        ))
         f_T = [float(v) for v in f(np.array([T]))[:, 0]] if vec else f(T)
         out = []
         for c in range(k):
@@ -291,6 +289,14 @@ class _BlockPipeline:
             )
             self._integrals[key] = (i0, i1, e0 + e1)
         return self._integrals[key]
+
+    def _quotient(self, wm_s, wp_s, d, wm_y, wp_y, dwm_y, dwp_y):
+        """C (w_-(s) w_+(y) - w_+(s) w_-(y)) / d and its y-derivative, with
+        d = s - y, for a float s or an array of nodes."""
+        C = self.params.big_c
+        num = wm_s * wp_y - wp_s * wm_y
+        num_y = wm_s * dwp_y - wp_s * dwm_y
+        return C * num / d, C * (num_y / d + num / (d * d))
 
     def kernel(self, x: float, y: float) -> tuple[float, float]:
         """(K(x, y), dK/dy(x, y))."""
@@ -386,14 +392,11 @@ class _MpmathKernel(_BlockPipeline):
 
     def _kernels(self, s: float, y: float) -> tuple[float, float]:
         """(K(s, y), dK/dy(s, y)) at one node s."""
-        C = self.params.big_c
         wm, wp = self._at(y)
         d = s - y
         if abs(d) >= _DIAG_EPS_SCALE * max(1.0, y):
-            wms, wps = self._wa(0, s), self._wa(1, s)
-            num = wms * wp[0] - wps * wm[0]
-            num_y = wms * wp[1] - wps * wm[1]
-            return C * num / d, C * (num_y / d + num / (d * d))
+            return self._quotient(self._wa(0, s), self._wa(1, s), d, wm[0], wp[0], wm[1], wp[1])
+        C = self.params.big_c
         w10 = wm[1] * wp[0] - wp[1] * wm[0]
         w20 = wm[2] * wp[0] - wp[2] * wm[0]
         w30 = wm[3] * wp[0] - wp[3] * wm[0]
@@ -449,11 +452,11 @@ _STEP_FRAC = 0.4
 _STEP_MAX = 4.0
 
 
-def _taylor_basis(centres, ks, m2: float, nterms: int = _TAYLOR_TERMS) -> np.ndarray:
+def _taylor_basis(centres, ks, m2: float) -> np.ndarray:
     """Scaled Taylor coefficients alpha_n = c^n W^(n)(c)/n! of the two
     solutions of x^2 W'' = (x^2/4 - k x + m^2 - 1/4) W with
     (alpha_0, alpha_1) = (1, 0) and (0, 1), for every k in ``ks`` and every
-    centre c; shape (nterms, 2, len(ks), len(centres)).
+    centre c; shape (_TAYLOR_TERMS, 2, len(ks), len(centres)).
 
     With x = c (1 + tau), the equation gives
     (n+1)(n+2) alpha_{n+2} = (q0 - n(n-1)) alpha_n - 2n(n+1) alpha_{n+1}
@@ -465,10 +468,10 @@ def _taylor_basis(centres, ks, m2: float, nterms: int = _TAYLOR_TERMS) -> np.nda
     q0 = 0.25 * c * c - k * c + (m2 - 0.25)
     q1 = 0.5 * c * c - k * c
     q2 = 0.25 * c * c
-    al = np.zeros((nterms, 2) + q0.shape)
+    al = np.zeros((_TAYLOR_TERMS, 2) + q0.shape)
     al[0, 0] = 1.0
     al[1, 1] = 1.0
-    for n in range(nterms - 2):
+    for n in range(_TAYLOR_TERMS - 2):
         acc = (q0 - n * (n - 1)) * al[n] - (2.0 * n * (n + 1)) * al[n + 1]
         if n >= 1:
             acc += q1 * al[n - 1]
@@ -671,12 +674,8 @@ class KernelContext(_BlockPipeline):
             out[1, near] = _powers(tau, len(ser.ky_coef)) @ ser.ky_coef
         far = ~near
         if far.any():
-            df = d[far]
             wm, wp = self._w(s)[:, far]
-            num = wm * ser.wp - wp * ser.wm
-            num_y = wm * ser.dwp - wp * ser.dwm
-            out[0, far] = self.params.big_c * num / df
-            out[1, far] = self.params.big_c * (num_y / df + num / (df * df))
+            out[:, far] = self._quotient(wm, wp, d[far], ser.wm, ser.wp, ser.dwm, ser.dwp)
         return out
 
     def _wa(self, p: int, s: np.ndarray) -> np.ndarray:

@@ -40,12 +40,13 @@ once (``_walk_stratum``, which hooks the diagrams in numpy chunks of
 in ``_strata``, a least-recently-used store of at most ``_STORE_BYTES``;
 each new z only weighs the kept diagrams, in chunks of
 ``_CHUNK_CELLS // rows``, so the float arrays stay near ``_CHUNK_CELLS``
-entries whatever a stratum holds.  A stratum sum, the z-measure of the
-diagrams of one size n that contain the points, depends on neither xi
-nor n_max: xi enters only through the negative-binomial weights.  Each
-engine keeps the sums it has computed (``_MeasureEngine.stratum_sums``),
-so the rungs of a xi-ladder, and any later call at the same (z, theta),
-weigh each (n, points) once.
+entries whatever a stratum holds.  A stratum sum (``_stratum_sum``),
+the z-measure of the diagrams of one size n that contain the points,
+depends on neither xi nor n_max: xi enters only through the
+negative-binomial weights.  Each engine, keyed by the exact theta that
+``ZParams`` keeps, holds the sums it has computed
+(``_MeasureEngine.stratum_sums``), so the rungs of a xi-ladder, and any
+later call at the same (z, theta), weigh each (n, points) once.
 
 The partition combinatorics come from ``partitions``: ``_hook_log`` and
 the log-sum fallback read their hook arguments from ``hook_rows``, the
@@ -103,20 +104,24 @@ A_MAX = 1e4
 class ZParams:
     """Parameters (z, theta, xi) shared by all measures and kernels.
 
+    theta, a number or a string such as "1/3", is kept as its exact value.
     Refused with ParameterError: z zero or not finite, theta not a finite
     positive number, xi outside [0, 1), a = |z|^2/theta above A_MAX, and
     |z|^2 or a below the normal floats, where they carry fewer than 53
     bits (at |z| = 1e-160 the z-measure of one size summed to 1.00001)."""
 
     z: complex
-    theta: float = 0.5
+    theta: Fraction = HALF
     xi: float = 0.0
 
     def __post_init__(self):
         z = validate_z(self.z)
-        # a product, where abs(z) ** 2 would raise OverflowError
+        object.__setattr__(self, "theta", _as_fraction(self.theta))
+        # a product, where abs(z) ** 2 would raise OverflowError; a theta
+        # beyond the floats gives a = 0 or inf, which are refused
         t = abs(z) * abs(z)
-        a = t / float(_as_fraction(self.theta))
+        th = float(self.theta) if self.theta <= sys.float_info.max else math.inf
+        a = t / th if th else math.inf
         if not (sys.float_info.min <= min(t, a) and a <= A_MAX):
             raise ParameterError(
                 f"need |z|^2 and a = |z|^2/theta normal floats with a <= {A_MAX:g}, "
@@ -282,7 +287,7 @@ def z_measure(lam: YoungDiagram, p: ZParams) -> float:
     """M^{(n)}_{z, zbar, theta}(lam) for n = |lam| >= 1."""
     if lam.size == 0:
         raise DomainError("z-measure requires |lam| >= 1")
-    return _engine(p.z, float(p.theta)).measure(lam.parts)
+    return _engine(p.z, p.theta).measure(lam.parts)
 
 
 def negative_binomial_weight(n: int, p: ZParams) -> float:
@@ -630,16 +635,16 @@ def _weigh(n: int, eng: _MeasureEngine, parts: np.ndarray, hooks: np.ndarray) ->
     return m
 
 
-def _stratum_measures(
+def _stratum_sum(
     n: int,
     eng: _MeasureEngine,
     shifts: Sequence[int],
     target_bs: tuple[int, ...],
-) -> tuple[np.ndarray, list[float]]:
-    """Parts (zero-padded rows) and z-measures of the partitions of n with
-    nonzero measure under ``eng`` whose positive coordinates contain all
-    target points, in reverse lexicographic order of parts.  ``shifts`` is
-    ``column_shifts`` of theta, at least n long.
+) -> tuple[float, int]:
+    """Sum of the z-measures under ``eng`` of the partitions of n whose
+    positive coordinates contain all target points, in reverse
+    lexicographic order of parts, and how many of them are nonzero.
+    ``shifts`` is ``column_shifts`` of theta, at least n long.
 
     The walk never builds a diagram with more rows or columns than
     ``eng.zero_cut(n)`` allows.  What it finds does not depend on z, so it
@@ -648,32 +653,16 @@ def _stratum_measures(
     sorted targets and the cut.  1/3 and 0.3333333333333333 are one float
     but shift different columns, so they walk apart.  Each new z only
     weighs the kept diagrams (``_weigh``)."""
-    if n > LATTICE_NMAX_CAP:
-        raise ResourceCapError(
-            f"partition enumeration capped at n <= {LATTICE_NMAX_CAP}, got {n}"
-        )
     cut = eng.zero_cut(n)
     th = eng.theta
     key = (th, tuple(shifts[:n]), tuple(sorted(target_bs)), cut)
     parts, hooks = _strata.get(key, lambda: _walk_stratum(n, th, shifts, target_bs, cut))
-    m = _weigh(n, eng, parts, hooks)
-    keep = m != 0.0
-    return parts[keep], m[keep].tolist()
-
-
-def _stratum_sum(
-    n: int,
-    eng: _MeasureEngine,
-    shifts: Sequence[int],
-    target_bs: tuple[int, ...],
-) -> tuple[float, int]:
-    """Sum of z-measures over partitions of n whose positive coordinates
-    contain all target points.  Returns (sum, matching diagram count)."""
-    _, m = _stratum_measures(n, eng, shifts, target_bs)
+    m = _weigh(n, eng, parts, hooks).tolist()
+    # the measures are >= 0, so adding a zero leaves the sum unchanged
     total = 0.0
     for v in m:
         total += v
-    return total, len(m)
+    return total, len(m) - m.count(0.0)
 
 
 def lattice_correlation(
@@ -713,9 +702,7 @@ def lattice_correlation(
     bound = negative_binomial_tail(n_max, p)
     if 0 in target_bs:
         return CorrelationReport(value=0.0, truncation_bound=bound, n_max_used=n_max, terms_summed=0)
-    # keyed by the exact theta, whose column shifts the walk reads: 1/3 and
-    # 0.3333333333333333 are one float but shift different columns
-    eng = _engine(p.z, _as_fraction(p.theta))
+    eng = _engine(p.z, p.theta)
     shifts = column_shifts(p.theta, n_max)
 
     value = 0.0

@@ -4,12 +4,15 @@ right symmetric-group action, and the fundamental cocycle.
 
 A matching decomposes into "circles": starting from a symbol, alternate
 a partner step with a negation step until the walk closes.  The number
-of circles is the exponent of the t-measure weight.
+of circles is the exponent of the t-measure weight, and their lengths
+are the coset type of ``gelfand.coset_type``; both come from the one
+walk in ``circle_lengths``.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -84,8 +87,8 @@ def enumerate_matchings(n: int) -> list[Matching]:
     return [Matching._canonical(pairs) for pairs, _ in states]
 
 
-def cycle_count(x: Matching) -> int:
-    """Number of circles in the arrow-configuration decomposition.
+def circle_lengths(x: Matching) -> list[int]:
+    """The number of pairs on each circle, by its smallest positive symbol.
 
     Walks alternate partner and negation steps; the walk from s visits
     partner(s), then -partner(s), and so on.  Each circle is seen once
@@ -99,36 +102,39 @@ def cycle_count(x: Matching) -> int:
         partner[a] = b
         partner[b] = a
     visited = [False] * (2 * n + 1)
-    circles = 0
+    lengths = []
     for start in range(1, n + 1):
-        if visited[start]:
-            continue
-        circles += 1
-        # s -> -partner(s) is a bijection, so the walk closes at start, and
-        # the last step marks start itself
-        s = start
-        while True:
-            t = partner[s]
-            visited[t] = visited[-t] = True
-            s = -t
-            if s == start:
-                break
-    return circles
+        # s -> -partner(s) is a bijection, so the walk closes at start; each
+        # step marks s and -s, the other end of the previous pair
+        s, length = start, 0
+        while not visited[s]:
+            visited[s] = visited[-s] = True
+            s = -partner[s]
+            length += 1
+        if length:
+            lengths.append(length)
+    return lengths
+
+
+def cycle_count(x: Matching) -> int:
+    """Number of circles in the arrow-configuration decomposition."""
+    return len(circle_lengths(x))
 
 
 def t_measure(x: Matching, t: float) -> float:
-    """t^{circles} / (t (t+2) ... (t+2n-2)); ParameterError unless t > 0
-    and t^{circles} is a finite float."""
+    """t^{circles} / (t (t+2) ... (t+2n-2)) as t^{circles-1} / ((t+2) ...
+    (t+2n-2)), so that neither a tiny t underflows nor a huge t overflows
+    the factor they share.  ParameterError unless t > 0 and both parts
+    are finite floats."""
     if not t > 0:
         raise ParameterError(f"t must be positive, got {t}")
-    circles = cycle_count(x)
+    den = math.prod(t + 2 * k for k in range(1, x.n))
     try:
-        num = t**circles
+        num = t ** (cycle_count(x) - 1)
     except OverflowError:
-        raise ParameterError(f"t = {t} overflows t^{circles}") from None
-    den = 1.0
-    for k in range(x.n):
-        den *= t + 2 * k
+        num = math.inf
+    if num == math.inf or den == math.inf:
+        raise ParameterError(f"t = {t} overflows t^(circles-1) or (t+2) ... (t+{2 * x.n - 2})")
     return num / den
 
 

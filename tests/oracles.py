@@ -19,7 +19,7 @@ import numpy as np
 
 from zmeasures import specfun
 from zmeasures.errors import DomainError
-from zmeasures.measures import ZParams, _MeasureEngine, _stratum_measures, z_measure
+from zmeasures.measures import ZParams, _MeasureEngine, _walk_stratum, _weigh, z_measure
 from zmeasures.pairings import Matching, enumerate_matchings, project
 from zmeasures.partitions import YoungDiagram, _as_fraction, conjugate_parts, hook_rows, iter_partition_tuples
 from zmeasures.pfaffian import AntisymmetricMatrix
@@ -163,6 +163,30 @@ def generalized_pochhammer(z: complex, lam: YoungDiagram, theta) -> complex:
     return out
 
 
+def coset_type_union_find(g: Perm) -> tuple[int, ...]:
+    """Half-sizes of the components of the graph on {0..2n-1} with edges
+    (2i, 2i+1) and (g(2i), g(2i+1)), by union-find, largest first: the
+    coset type by a route independent of the circle walk."""
+    size = len(g)
+    parent = list(range(size))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(0, size, 2):
+        for a, b in ((i, i + 1), (g[i], g[i + 1])):
+            parent[find(a)] = find(b)
+    sizes: dict[int, int] = {}
+    for v in range(size):
+        r = find(v)
+        sizes[r] = sizes.get(r, 0) + 1
+    assert all(s % 2 == 0 for s in sizes.values()), "odd component"
+    return tuple(sorted((s // 2 for s in sizes.values()), reverse=True))
+
+
 def identity_perm(size: int) -> Perm:
     return tuple(range(size))
 
@@ -214,10 +238,12 @@ def _stratum_terms(
     shifts: Sequence[int],
     target_bs: tuple[int, ...],
 ) -> list[tuple[tuple[int, ...], float]]:
-    """(parts, measure) for each diagram ``measures._stratum_measures``
-    returns, in its order."""
-    parts, m = _stratum_measures(n, eng, shifts, target_bs)
-    return [(tuple(int(v) for v in row if v), mv) for row, mv in zip(parts, m)]
+    """(parts, measure) for each diagram of nonzero measure that
+    ``measures._stratum_sum`` adds up, in its order: the stratum walked
+    afresh under the engine's zero cut and weighed by ``_weigh``."""
+    parts, hooks = _walk_stratum(n, eng.theta, shifts, target_bs, eng.zero_cut(n))
+    m = _weigh(n, eng, parts, hooks).tolist()
+    return [(tuple(int(v) for v in row if v), mv) for row, mv in zip(parts, m) if mv != 0.0]
 
 
 def z_measure_symmetry_check(lam: YoungDiagram, p: ZParams) -> tuple[float, float]:

@@ -1,13 +1,25 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from zmeasures.cli import run
+from zmeasures.cli import build_parser, run
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def cli_process(*argv: str) -> subprocess.CompletedProcess:
+    """``python -m zmeasures.cli`` in a fresh interpreter that imports the
+    package from ``src``, so that no install is needed."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "zmeasures.cli", *argv], capture_output=True, text=True, env=env)
 
 
 def capture(capsys, argv):
@@ -93,6 +105,15 @@ def test_lattice_corr(capsys):
     assert float(vals["truncation_bound"]) >= 0
 
 
+@pytest.mark.parametrize("line", ["zmeasure", "partitions", "pairings", "gelfand"])
+def test_readme_line_prints_reference(capsys, line):
+    # the stdout stored for the README line in the benchmark's reference
+    reference = json.loads((ROOT / "perfbench" / "reference" / "cli.json").read_text())
+    op = next(op for op in reference["ops"] if op["id"] == line)
+    code, out = capture(capsys, op["argv"])
+    assert (code, out) == (op["expect"]["returncode"], op["expect"]["stdout"])
+
+
 def test_lattice_corr_readme_line_golden(capsys):
     code, out = capture(
         capsys, ["lattice-corr", "--z", "0.5,0", "--xi", "0.5", "--x", "3/2", "--nmax", "30"]
@@ -142,11 +163,7 @@ def test_corr_readme_line_golden(capsys):
 def test_whittaker_exact_zero_exits_3():
     # W_{2,1/2}(2) = 0: mpmath's terminating 2F0 sums to zero and cannot
     # reach a relative accuracy, which it reports with a bare ValueError
-    proc = subprocess.run(
-        [sys.executable, "-m", "zmeasures.cli", "whittaker", "--k", "2.0", "--m", "0.5,0", "--x", "2.0"],
-        capture_output=True,
-        text=True,
-    )
+    proc = cli_process("whittaker", "--k", "2.0", "--m", "0.5,0", "--x", "2.0")
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr.startswith("numerical error: ")
@@ -184,11 +201,7 @@ def test_non_finite_parameters_exit_2(capsys, argv):
     ["1,2;2,3", "0,1", "1,2,3,4,5", "1,x"],
 )
 def test_malformed_permutation_exit_2(g):
-    proc = subprocess.run(
-        [sys.executable, "-m", "zmeasures.cli", "gelfand", "--n", "2", "--g", g],
-        capture_output=True,
-        text=True,
-    )
+    proc = cli_process("gelfand", "--n", "2", "--g", g)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
@@ -197,12 +210,12 @@ def test_malformed_permutation_exit_2(g):
 @pytest.mark.parametrize(
     "argv",
     [
-        # |z|^2 or t^circles overflows
+        # |z|^2, or t^(circles-1) / ((t+2) ... (t+2n-2)), overflows
         "zmeasure --z 1e300,0 --n 2",
         "mixed --z 1e200,0 --xi 0.5 --n 2",
         "gelfand --n 2 --g 1,2 --z 1e300,0",
         "lattice-corr --z 1e200,0 --xi 0.5 --x 3/2 --nmax 5",
-        "pairings --n 2 --t 1e200",
+        "pairings --n 4 --t 1e200",
         # a = |z|^2/theta is inf
         "zmeasure --z 1e154,0 --n 2",
         "zmeasure --z 1,0 --theta 1e-320 --n 2",
@@ -215,14 +228,49 @@ def test_malformed_permutation_exit_2(g):
     ],
 )
 def test_out_of_range_parameters_exit_2(argv):
-    proc = subprocess.run(
-        [sys.executable, "-m", "zmeasures.cli", *argv.split()],
-        capture_output=True,
-        text=True,
-    )
+    proc = cli_process(*argv.split())
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "t, masses",
+    [
+        # t/(t+2) for the two-circle matching, where t (t+2) underflowed to 0
+        ("1e-320", [5e-321, 0.5, 0.5]),
+        # 1/(t+2) and t/(t+2), where t^2 overflowed and the command was refused
+        ("1e200", [1e-200, 1e-200, 1.0]),
+    ],
+)
+def test_pairings_extreme_t_prints_the_finite_quotients(capsys, t, masses):
+    code, out = capture(capsys, ["pairings", "--n", "2", "--t", t])
+    assert code == 0
+    got = sorted(float(line.rsplit(",", 1)[1]) for line in out.splitlines()[1:])
+    assert got == pytest.approx(masses, rel=1e-3, abs=0)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["partitions", "--n", "3"],
+        ["zmeasure", "--z", "1,0", "--n", "2"],
+        ["mixed", "--z", "1,0", "--xi", "0.5", "--n", "2"],
+        ["lattice-corr", "--z", "0.5,0", "--xi", "0.5", "--x", "3/2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_theta_is_read_exactly_in_every_command(argv):
+    assert build_parser().parse_args(argv + ["--theta", "0.3"]).theta == Fraction(3, 10)
+    assert build_parser().parse_args(argv).theta == Fraction(1, 2)
+
+
+def test_verify_limit_huge_xi_message_is_short(capsys):
+    assert run(["verify-limit", "--z", "0.3,0.4", "--u", "1.0", "--xi", "1e300"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "1e+300" in captured.err
+    assert len(captured.err) < 200
 
 
 def test_determinism_across_workers(capsys):
@@ -253,11 +301,7 @@ def test_out_file(tmp_path, capsys):
 
 
 def test_console_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "zmeasures.cli", "partitions", "--n", "2"],
-        capture_output=True,
-        text=True,
-    )
+    proc = cli_process("partitions", "--n", "2")
     assert proc.returncode == 0
     assert proc.stdout.startswith("partition,")
 

@@ -22,7 +22,7 @@ from zmeasures.gelfand import (
 from zmeasures.measures import ZParams
 from zmeasures.partitions import iter_partition_tuples
 
-from oracles import all_permutations, class_size, identity_perm
+from oracles import all_permutations, class_size, coset_type_union_find, identity_perm
 
 
 def test_coset_type_identity():
@@ -39,6 +39,22 @@ def test_coset_type_hyperoctahedral_trivial():
     for n in (1, 2, 3):
         for h in hyperoctahedral_group(n):
             assert coset_type(h).parts == (1,) * n
+
+
+def test_coset_type_matches_union_find_on_all_permutations():
+    # every g in S(2n) for n <= 4: 2 + 24 + 720 + 40320 = 41,066 permutations
+    count = 0
+    for n in (1, 2, 3, 4):
+        for g in all_permutations(2 * n):
+            assert coset_type(g).parts == coset_type_union_find(g), g
+            count += 1
+    assert count == 41066
+
+
+@pytest.mark.parametrize("g", [(0, 0, 1, 1), (0, 1, 2, 2), (0, 1, 2, 4), (1, 2, 3)])
+def test_coset_type_refuses_non_permutations(g):
+    with pytest.raises(DomainError):
+        coset_type(g)
 
 
 def test_coset_type_conjugation_invariance_under_H():

@@ -47,6 +47,27 @@ def test_zparams_validation():
     assert p.a == pytest.approx(4.0)
 
 
+def test_zparams_keeps_theta_exact():
+    # theta is converted once, to a Fraction; a string names the same value
+    # as the Fraction, so both share one engine and one set of column shifts
+    by_string = ZParams(0.3 + 0.4j, "1/3", 0.5)
+    by_fraction = ZParams(0.3 + 0.4j, Fraction(1, 3), 0.5)
+    assert by_string.theta == by_fraction.theta == Fraction(1, 3)
+    assert isinstance(ZParams(1, 0.5).theta, Fraction)
+    X = [Fraction(5, 2)]
+    got = lattice_correlation(X, by_string, 20)
+    want = lattice_correlation(X, by_fraction, 20)
+    assert got.value.hex() == want.value.hex()
+    assert got.truncation_bound.hex() == want.truncation_bound.hex()
+    assert got.terms_summed == want.terms_summed > 0
+
+
+@pytest.mark.parametrize("theta", [Fraction(10**400), Fraction(1, 10**400), "1e400", "1e-400"])
+def test_zparams_refuses_theta_beyond_the_floats(theta):
+    with pytest.raises(ParameterError):
+        ZParams(1, theta)
+
+
 @pytest.mark.parametrize(
     "z, theta",
     [

@@ -77,6 +77,30 @@ def test_t_measure_n2_values():
     assert vals == pytest.approx([1 / 3, 1 / 3, 1 / 3])
 
 
+def test_t_measure_tiny_t_does_not_underflow():
+    # t/(t+2) for the two-circle matching of n = 2, where t (t+2) underflowed to 0
+    two = Matching.from_pairs([(-1, 1), (-2, 2)])
+    assert t_measure(two, 1e-320) == pytest.approx(5e-321, rel=1e-3, abs=0)
+
+
+def test_t_measure_huge_t_does_not_overflow_the_denominator():
+    # 1/((t+2)(t+4)(t+6)) for a one-circle matching of n = 4, where
+    # t (t+2)(t+4)(t+6) overflowed to inf
+    one = Matching.from_pairs([(1, 2), (-2, 3), (-3, 4), (-4, -1)])
+    assert cycle_count(one) == 1
+    assert t_measure(one, 1e100) == pytest.approx(1e-300, rel=1e-14, abs=0)
+
+
+def test_t_measure_refuses_an_overflowing_product():
+    one = Matching.from_pairs([(1, 2), (-2, 3), (-3, 4), (-4, -1)])
+    with pytest.raises(ParameterError):
+        t_measure(one, 1e200)  # (t+2)(t+4)(t+6) overflows
+    with pytest.raises(ParameterError):
+        t_measure(Matching.from_pairs([(-i, i) for i in range(1, 5)]), 1e200)  # t^3 overflows
+    with pytest.raises(ParameterError):
+        t_measure(one, math.inf)
+
+
 def test_project_rules():
     assert project(Matching.from_pairs([(-2, 2), (-1, 1)])) == Matching.from_pairs(
         [(-1, 1)]
