@@ -152,8 +152,10 @@ def character_S2n(mu: tuple[int, ...], cls: tuple[int, ...]) -> int:
     return _mn_character(mu, cls)
 
 
-def hyperoctahedral_group(n: int) -> list[Perm]:
-    """All 2^n n! permutations preserving the base matching {2i-1, 2i}."""
+@lru_cache(maxsize=8)
+def hyperoctahedral_group(n: int) -> tuple[Perm, ...]:
+    """All 2^n n! permutations preserving the base matching {2i-1, 2i},
+    kept for the eight most recent n."""
     out = []
     for pi in itertools.permutations(range(n)):
         for flips in itertools.product((0, 1), repeat=n):
@@ -163,12 +165,7 @@ def hyperoctahedral_group(n: int) -> list[Perm]:
                 img[2 * i] = 2 * tgt + flips[i]
                 img[2 * i + 1] = 2 * tgt + 1 - flips[i]
             out.append(tuple(img))
-    return out
-
-
-@lru_cache(maxsize=8)
-def _hyperoctahedral_cached(n: int) -> tuple[Perm, ...]:
-    return tuple(hyperoctahedral_group(n))
+    return tuple(out)
 
 
 def zonal_spherical(lam: YoungDiagram | tuple[int, ...], g: Perm) -> Fraction:
@@ -180,7 +177,7 @@ def zonal_spherical(lam: YoungDiagram | tuple[int, ...], g: Perm) -> Fraction:
     if len(g) != 2 * n:
         raise DomainError(f"g must permute {2 * n} points for |lam| = {n}")
     two_lam = tuple(2 * p for p in parts)
-    H = _hyperoctahedral_cached(n)
+    H = hyperoctahedral_group(n)
     total = 0
     for h in H:
         total += character_S2n(two_lam, cycle_type(compose(g, h)))

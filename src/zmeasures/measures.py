@@ -15,22 +15,20 @@ are never built.  The truncation bound is certified: the z-measure at
 each size sums to exactly 1, so the discarded mass is exactly the
 negative-binomial tail.
 
-The measure has two evaluators, one per kind of traffic:
+The measure has one float recipe, ``_weigh``, which weighs diagrams of
+one size together in numpy: row Pochhammer logs from the engine's one
+table (``_MeasureEngine.row_log_table``), 0 for a diagram with a row
+that reaches a zero factor, and exp(lgamma(n + 1) + num - (hook +
+gamma)) for the rest.  ``lattice_correlation`` weighs whole strata with
+it and sums them in the order of a full reverse-lexicographic
+enumeration; ``z_measure`` (so ``mixed_z_measure``, the CLI tables and
+``spherical_restriction``) weighs one diagram with it.
 
-- ``_MeasureEngine.measure`` evaluates one diagram with a scalar loop.
-  It serves ``z_measure``, ``mixed_z_measure`` and the CLI tables, which
-  ask for many diagrams one at a time.
-- ``_weigh`` evaluates the diagrams of one stratum (one size n)
-  together, in numpy, for ``lattice_correlation``.  It runs the same
-  float operations in the same order as the scalar loop, so every value
-  is bit-identical to it, and a stratum's terms are summed in the order
-  of a full reverse-lexicographic enumeration.
-
-Both take the hook term log H + log H' from ``_hook_log``, which does
-not depend on z.  It renormalises the hook products at row ends; a
-diagram whose products leave the float range inside one row, as a row
-of 171 or more cells does, has its hook term recomputed as a sum of logs
-instead, so sizes up to ``LATTICE_NMAX_CAP`` are evaluated correctly.
+The hook term log H + log H' comes from ``_hook_log``, which does not
+depend on z.  It renormalises the hook products at row ends; a diagram
+whose products leave the float range inside one row, as a row of 171 or
+more cells does, has its hook term recomputed as a sum of logs instead,
+so sizes up to ``LATTICE_NMAX_CAP`` are evaluated correctly.
 
 A stratum's diagrams and their hook terms depend on theta, n, the
 points and the zero cut, but not on z: z enters only through the row
@@ -52,7 +50,7 @@ The partition combinatorics come from ``partitions``: ``_hook_log`` and
 the log-sum fallback read their hook arguments from ``hook_rows``, the
 walk its column shifts from ``column_shifts``, and lattice points are
 checked by ``half_integer``.  The Pochhammer zeros are read from the
-engine's row tables: they decide which diagrams vanish, and the rows and
+engine's row table: they decide which diagrams vanish, and the rows and
 columns a stratum's walk may use (``_MeasureEngine.zero_cut``).
 
 At theta = 1 the mixed z-measure is a Schur measure, and
@@ -156,91 +154,52 @@ class CorrelationReport:
 
 
 class _MeasureEngine:
-    """Per-(z, theta) evaluator with cached row-Pochhammer log tables, and
-    the stratum sums ``lattice_correlation`` has computed at this (z, theta),
+    """Per-(z, theta) row-Pochhammer table (``row_log_table``), and the
+    stratum sums ``lattice_correlation`` has computed at this (z, theta),
     by (n, sorted target points)."""
 
     def __init__(self, z: complex, theta: float | Fraction):
         self.z = complex(z)
         self.theta = float(theta)
         self.a = abs(z) ** 2 / self.theta
-        self._row_logs: list[list[float]] = []  # cumulative 2*log|factor|
-        self._row_zero: list[int] = []  # first column count hitting a zero factor
-        self._row_arrays = (np.zeros((0, 1)), np.zeros(0, dtype=np.int64))
-        self._cuts: dict[int, tuple[int, int]] = {}
+        self._logs = np.zeros((0, 1))
+        self._zero = np.zeros(0, dtype=np.int64)
         self.stratum_sums: dict[tuple[int, tuple[int, ...]], tuple[float, int]] = {}
-
-    def _ensure_row(self, i: int, length: int):
-        while len(self._row_logs) < i:
-            self._row_logs.append([0.0])
-            self._row_zero.append(1 << 60)
-        row = self._row_logs[i - 1]
-        base = self.z - (i - 1) * self.theta
-        while len(row) <= length:
-            j = len(row) - 1
-            f = base + j
-            af = abs(f)
-            if af < 1e-300:
-                self._row_zero[i - 1] = min(self._row_zero[i - 1], j + 1)
-                row.append(-math.inf)
-            else:
-                row.append(row[-1] + 2.0 * math.log(af))
 
     def zero_cut(self, n: int) -> tuple[int, int]:
         """(rows, cols): the most rows and columns a diagram of n cells with
         nonzero measure can have.  A zero first factor z - (i-1)theta of
         row i kills every diagram with i rows, and a zero factor z + (j-1)
         of row 1 every diagram whose first row reaches j cells; both are
-        read from the row tables, once per size."""
-        cut = self._cuts.get(n)
-        if cut is None:
-            self._ensure_row(1, n)
-            rows = 0
-            while rows < n:
-                self._ensure_row(rows + 1, 1)
-                if self._row_zero[rows] == 1:
-                    break
-                rows += 1
-            cut = self._cuts[n] = (rows, min(n, self._row_zero[0] - 1))
-        return cut
+        read from the row table, whose rows double only until one starts
+        with a zero."""
+        zero = self.row_log_table(1, n)[1]
+        while 1 not in zero[:n] and len(zero) < n:
+            zero = self.row_log_table(2 * len(zero), n)[1]
+        zero = zero[:n].tolist()
+        return (zero.index(1) if 1 in zero else n), min(n, zero[0] - 1)
 
     def row_log_table(self, rows: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-        """The row tables as arrays covering at least ``rows`` rows and
-        lengths 0..``width``: ``logs[i, p]`` is the entry ``measure`` reads
-        for row i+1 of length p, and ``zero[i]`` the first length at which
-        row i+1 holds a zero factor.  Grown by doubling, so a walk over
-        growing n rebuilds them a logarithmic number of times."""
-        logs, zero = self._row_arrays
-        have_rows, have_width = logs.shape[0], logs.shape[1] - 1
+        """The table (logs, zero) for at least ``rows`` rows and lengths
+        0..``width``.  ``logs[i, p]`` is 2 log |(z - i theta)_p|, row i+1's
+        Pochhammer product at length p, summed in order from each factor's
+        2.0 * math.log(abs(f)) (numpy's log rounds differently).  A factor
+        below 1e-300 is zero: from it on the row holds -inf, and ``zero[i]``
+        is its index + 1 (2^60 where the row has none).  Grown by doubling."""
+        have_rows, have_width = self._logs.shape[0], self._logs.shape[1] - 1
         if have_rows < rows or have_width < width:
             rows = have_rows if rows <= have_rows else max(rows, 2 * have_rows)
             width = have_width if width <= have_width else max(width, 2 * have_width)
-            for i in range(1, rows + 1):
-                self._ensure_row(i, width)
-            logs = np.array([row[: width + 1] for row in self._row_logs[:rows]])
-            zero = np.array(self._row_zero[:rows], dtype=np.int64)
-            self._row_arrays = (logs, zero)
-        return logs, zero
-
-    def measure(self, parts: tuple[int, ...]) -> float:
-        """Probability mass of ``parts`` under the z-measure at its size."""
-        n = sum(parts)
-        if n == 0:
-            raise DomainError("z-measure is defined on partitions of n >= 1")
-        logs = self._row_logs
-        num = 0.0
-        for i, p in enumerate(parts):
-            try:
-                log_row = logs[i][p]
-            except IndexError:  # the table does not reach (i, p) yet
-                self._ensure_row(i + 1, p)
-                log_row = logs[i][p]
-            if p >= self._row_zero[i]:
-                return 0.0
-            num += log_row
-        logden = _hook_log(parts, self.theta)
-        logden += math.lgamma(self.a + n) - math.lgamma(self.a)
-        return math.exp(math.lgamma(n + 1) + num - logden)
+            self._logs = np.zeros((rows, width + 1))
+            self._zero = np.full(rows, 1 << 60, dtype=np.int64)
+            for i in range(rows):
+                base = self.z - i * self.theta
+                terms = [2.0 * math.log(m) if (m := abs(base + j)) >= 1e-300 else -math.inf
+                         for j in range(width)]
+                self._logs[i, 1:] = np.add.accumulate(terms)
+                if -math.inf in terms:
+                    self._zero[i] = terms.index(-math.inf) + 1
+        return self._logs, self._zero
 
 
 def _hook_log(parts: Sequence[int], th: float) -> float:
@@ -249,8 +208,8 @@ def _hook_log(parts: Sequence[int], th: float) -> float:
     pass 1e250 (or H' falls below 1e-250), their logs added up.  A
     diagram whose products leave the float range inside one row, as a row
     of 171 or more cells does, gets ``_hook_log_sum`` instead.  The same
-    floats in the same order for every caller, so the scalar ``measure``
-    and the stored strata agree bit for bit."""
+    floats in the same order for every caller, so ``z_measure`` and the
+    stored strata agree bit for bit."""
     h = 1.0
     hp = 1.0
     hexp = 0.0
@@ -284,10 +243,14 @@ _engine = functools.lru_cache(maxsize=2)(_MeasureEngine)
 
 
 def z_measure(lam: YoungDiagram, p: ZParams) -> float:
-    """M^{(n)}_{z, zbar, theta}(lam) for n = |lam| >= 1."""
+    """M^{(n)}_{z, zbar, theta}(lam) for n = |lam| >= 1, weighed by
+    ``_weigh`` like a stratum's diagrams, so the float a stratum sum adds.
+    The parts go in as int64: a row may be longer than uint8 holds."""
     if lam.size == 0:
         raise DomainError("z-measure requires |lam| >= 1")
-    return _engine(p.z, p.theta).measure(lam.parts)
+    eng = _engine(p.z, p.theta)
+    parts = np.array([lam.parts], dtype=np.int64)
+    return float(_weigh(lam.size, eng, parts, np.array([_hook_log(lam.parts, eng.theta)]))[0])
 
 
 def negative_binomial_weight(n: int, p: ZParams) -> float:
@@ -610,9 +573,9 @@ _strata = _StratumStore()
 
 def _weigh(n: int, eng: _MeasureEngine, parts: np.ndarray, hooks: np.ndarray) -> np.ndarray:
     """The z-measures under ``eng`` of the partitions of n with rows
-    ``parts`` and hook logs ``hooks``: the floats ``eng.measure`` returns.
+    ``parts`` (zero-padded, any integer dtype) and hook logs ``hooks``.
 
-    Row Pochhammer logs are gathered from the engine's row tables and
+    Row Pochhammer logs (num) are gathered from ``eng.row_log_table`` and
     added row by row; a diagram with a row that reaches a zero factor
     weighs 0; the rest take exp((lgamma(n + 1) + num) - (hook log +
     (lgamma(a + n) - lgamma(a)))), per diagram with ``math.exp``.  The
@@ -682,7 +645,7 @@ def lattice_correlation(
     depend on z, so each stratum is walked and hooked once and kept in a
     store of at most ``_STORE_BYTES`` shared by every z: a later z with
     the same theta, points and zero cut only weighs the kept diagrams, in
-    numpy batches whose measures are bit-identical to ``z_measure``, and
+    numpy batches by the ``_weigh`` that ``z_measure`` also uses, and
     adds them in reverse lexicographic order of parts, the order of a
     full enumeration.  Hook products that leave the float range inside a
     row (a row of 171 or more cells) are summed as logs, so every size up

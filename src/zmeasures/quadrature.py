@@ -18,21 +18,18 @@ component alone returns; the components only share the evaluations.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import NumericalError
 
 _MAX_DEPTH = 40
 
-_rule_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-
+@functools.cache
 def _rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    r = _rule_cache.get(n)
-    if r is None:
-        r = np.polynomial.legendre.leggauss(n)
-        _rule_cache[n] = r
-    return r
+    return np.polynomial.legendre.leggauss(n)
 
 
 def _fixed(f, lo: float, hi: float, n: int) -> list:

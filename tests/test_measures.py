@@ -494,6 +494,22 @@ def test_long_row_hook_products_do_not_overflow(n):
     assert z_measure(YoungDiagram((n,)), ZParams(0.5, 0.5)) == pytest.approx(1.0, rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "parts, z, theta, expected",
+    [
+        ((300,), 0.3 + 0.7j, Fraction(1, 2), "0x1.335de10c5b2f4p-8"),
+        ((256, 255, 1), 0.3 + 0.7j, Fraction(1, 2), "0x1.67bd3f188dc1dp-29"),
+        ((1,) * 300, 0.3 + 0.7j, Fraction(1, 2), "0x1.0109d2873f47ap-31"),
+        # z + 2 = 0 is the third factor of row 1
+        ((300,), -2.0, 1, "0x0.0p+0"),
+    ],
+)
+def test_z_measure_rows_beyond_uint8_golden(parts, z, theta, expected):
+    # rows and row counts past 255, which a stored stratum's uint8 parts
+    # cannot hold; the values of the scalar loop that weighed one diagram
+    assert z_measure(YoungDiagram(parts), ZParams(z, theta)).hex() == expected
+
+
 def test_lattice_correlation_counts_sizes_above_170():
     p = ZParams(0.5, 0.5, 0.97)
     r170 = lattice_correlation([Fraction(3, 2)], p, 170)

@@ -67,13 +67,11 @@ def test_hook_products_theta_one_is_hook_length_squared_shifted():
 
 
 def _engine_pochhammer(z, theta, parts):
-    """2 log|(z)_{lam,theta}| summed from the measure engine's row tables,
+    """2 log|(z)_{lam,theta}| summed from the measure engine's row table,
     and whether a row of lam reaches a zero factor there."""
-    eng = _MeasureEngine(z, theta)
-    for i, p in enumerate(parts, start=1):
-        eng._ensure_row(i, p)
-    vanishes = any(p >= eng._row_zero[i] for i, p in enumerate(parts))
-    return sum(eng._row_logs[i][p] for i, p in enumerate(parts)), vanishes
+    logs, zero = _MeasureEngine(z, theta).row_log_table(len(parts), max(parts))
+    vanishes = any(p >= zero[i] for i, p in enumerate(parts))
+    return sum(logs[i][p] for i, p in enumerate(parts)), vanishes
 
 
 # generic z, and z with a zero factor: in the second row at its first
