@@ -10,6 +10,7 @@ and zonal spherical functions are exact rationals.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -141,9 +142,11 @@ def _mn_character(mu: tuple[int, ...], rho: tuple[int, ...]) -> int:
 
 
 def character_S2n(mu: tuple[int, ...], cls: tuple[int, ...]) -> int:
-    """Irreducible character of S(N) at the class of cycle type ``cls``."""
-    mu = tuple(mu)
-    cls = tuple(sorted(cls, reverse=True))
+    """Irreducible character of S(N) at the class of cycle type ``cls``, a
+    partition given in any order; DomainError unless mu is a partition and
+    cls holds positive integers."""
+    mu = YoungDiagram(tuple(mu)).parts
+    cls = YoungDiagram(tuple(sorted(cls, reverse=True))).parts
     n_mu, n_cls = sum(mu), sum(cls)
     if n_mu != n_cls:
         raise DomainError(f"size mismatch: |mu| = {n_mu}, |class| = {n_cls}")
@@ -169,19 +172,20 @@ def hyperoctahedral_group(n: int) -> tuple[Perm, ...]:
 
 
 def zonal_spherical(lam: YoungDiagram | tuple[int, ...], g: Perm) -> Fraction:
-    """w^lam(g): the H(n)-average of the character chi^{2*lam}."""
-    parts = lam.parts if isinstance(lam, YoungDiagram) else tuple(lam)
+    """w^lam(g): the H(n)-average of the character chi^{2*lam};
+    DomainError unless lam is a partition and g a permutation of
+    0..2|lam|-1."""
+    parts = lam.parts if isinstance(lam, YoungDiagram) else YoungDiagram(tuple(lam)).parts
     n = sum(parts)
     if n > ZONAL_CAP:
         raise ResourceCapError(f"zonal spherical functions capped at n <= {ZONAL_CAP}")
-    if len(g) != 2 * n:
+    if sorted(g) != list(range(2 * n)):
         raise DomainError(f"g must permute {2 * n} points for |lam| = {n}")
     two_lam = tuple(2 * p for p in parts)
     H = hyperoctahedral_group(n)
-    total = 0
-    for h in H:
-        total += character_S2n(two_lam, cycle_type(compose(g, h)))
-    return Fraction(total, len(H))
+    # the character is a class function: one call per cycle type met
+    classes = Counter(cycle_type(compose(g, h)) for h in H)
+    return Fraction(sum(k * character_S2n(two_lam, c) for c, k in classes.items()), len(H))
 
 
 def spherical_restriction(p: ZParams, n: int, g: Perm) -> float:

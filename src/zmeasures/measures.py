@@ -33,8 +33,9 @@ so sizes up to ``LATTICE_NMAX_CAP`` are evaluated correctly.
 A stratum's diagrams and their hook terms depend on theta, n, the
 points and the zero cut, but not on z: z enters only through the row
 Pochhammer factors and the Gamma normaliser.  So a stratum is walked
-once (``_walk_stratum``, which hooks the diagrams in numpy chunks of
-``_CHUNK_CELLS // n`` with ``_hook_log``'s float operations) and kept
+once (``_walk_stratum``, one recursion over column heights, which hooks
+the diagrams in numpy chunks of ``_CHUNK_CELLS // n`` with
+``_hook_log``'s float operations) and kept
 in ``_strata``, a least-recently-used store of at most ``_STORE_BYTES``;
 each new z only weighs the kept diagrams, in chunks of
 ``_CHUNK_CELLS // rows``, so the float arrays stay near ``_CHUNK_CELLS``
@@ -49,9 +50,10 @@ later call at the same (z, theta), weigh each (n, points) once.
 The partition combinatorics come from ``partitions``: ``_hook_log`` and
 the log-sum fallback read their hook arguments from ``hook_rows``, the
 walk its column shifts from ``column_shifts``, and lattice points are
-checked by ``half_integer``.  The Pochhammer zeros are read from the
-engine's row table: they decide which diagrams vanish, and the rows and
-columns a stratum's walk may use (``_MeasureEngine.zero_cut``).
+checked by ``half_integer``.  The Pochhammer zeros decide which
+diagrams vanish, as ``_weigh`` reads them from the engine's row table,
+and the rows and columns a stratum's walk may use, as
+``_MeasureEngine.zero_cut`` scans the first factors for them.
 
 At theta = 1 the mixed z-measure is a Schur measure, and
 ``schur_correlation`` computes its lattice correlations exactly as a
@@ -168,24 +170,23 @@ class _MeasureEngine:
 
     def zero_cut(self, n: int) -> tuple[int, int]:
         """(rows, cols): the most rows and columns a diagram of n cells with
-        nonzero measure can have.  A zero first factor z - (i-1)theta of
-        row i kills every diagram with i rows, and a zero factor z + (j-1)
-        of row 1 every diagram whose first row reaches j cells; both are
-        read from the row table, whose rows double only until one starts
-        with a zero."""
-        zero = self.row_log_table(1, n)[1]
-        while 1 not in zero[:n] and len(zero) < n:
-            zero = self.row_log_table(2 * len(zero), n)[1]
-        zero = zero[:n].tolist()
-        return (zero.index(1) if 1 in zero else n), min(n, zero[0] - 1)
+        nonzero measure can have.  A zero first factor z - i theta of row
+        i+1 kills every diagram with i+1 rows, and a zero factor z + j of
+        row 1 every diagram whose first row reaches j+1 cells.  The factors
+        are scanned directly, as the same floats under the same 1e-300 test
+        that ``row_log_table`` applies, so the cut builds no table."""
+        z, th = self.z, self.theta
+        rows = next((i for i in range(n) if abs(z - i * th) < 1e-300), n)
+        return rows, next((j for j in range(n) if abs(z + j) < 1e-300), n)
 
     def row_log_table(self, rows: int, width: int) -> tuple[np.ndarray, np.ndarray]:
         """The table (logs, zero) for at least ``rows`` rows and lengths
-        0..``width``.  ``logs[i, p]`` is 2 log |(z - i theta)_p|, row i+1's
-        Pochhammer product at length p, summed in order from each factor's
+        0..``width``, grown by doubling when ``_weigh`` asks for more.
+        ``logs[i, p]`` is 2 log |(z - i theta)_p|, row i+1's Pochhammer
+        product at length p, summed in order from each factor's
         2.0 * math.log(abs(f)) (numpy's log rounds differently).  A factor
         below 1e-300 is zero: from it on the row holds -inf, and ``zero[i]``
-        is its index + 1 (2^60 where the row has none).  Grown by doubling."""
+        is its index + 1 (2^60 where the row has none)."""
         have_rows, have_width = self._logs.shape[0], self._logs.shape[1] - 1
         if have_rows < rows or have_width < width:
             rows = have_rows if rows <= have_rows else max(rows, 2 * have_rows)
@@ -317,46 +318,6 @@ def _validate_lattice_points(X: Iterable) -> list[int]:
     return bs
 
 
-def _walk_columns(
-    n: int,
-    shifts: Sequence[int],
-    target_bs: Sequence[int],
-    max_height: int,
-    max_width: int,
-    visit,
-) -> None:
-    """Call ``visit(cols, tails)`` for the partitions of n whose positive
-    coordinates contain every target: each is given by its column
-    heights, ``cols`` followed by one of the ``tails``.
-
-    Columns are built left to right, tallest first.  Column j (1-based)
-    of height c carries the positive coordinate v = c - shifts[j-1];
-    v never increases with j, so the targets are met largest first and
-    a prefix is cut as soon as its last v lies below the largest
-    unmet target (or at v <= 0, where no positive coordinate exists),
-    or the cells left cannot reach the unmet targets.  Heights are at
-    most ``max_height``, and there are at most ``max_width`` columns.
-    Once the targets are met, completions of at most ``_TAIL_CELLS``
-    cells are read from a table rather than walked.  The list passed to
-    ``visit`` is reused; copy it to keep it.
-    """
-    bs = sorted(target_bs, reverse=True)
-    # need[k][j]: fewest cells that columns j+1, j+2, ... (0-based) must
-    # hold to meet bs[k:], each unmet target taking a later column; more
-    # than n when there are too few columns left
-    need = [[0] * (n + 1) for _ in range(len(bs) + 1)]
-    for k in range(len(bs) - 1, -1, -1):
-        least = max(bs[k], 1)
-        row, later = need[k], need[k + 1]
-        row[n] = n + 1
-        for j in range(n):
-            row[j] = least + shifts[j] + later[j + 1]
-    if bs:
-        _walk_directed([], n, max_height, max_width, 0, bs, need, shifts, visit)
-    else:
-        _walk_free([], n, max_height, max_width, visit)
-
-
 # completions of at most this many cells are read from a table
 _TAIL_CELLS = 12
 
@@ -372,60 +333,6 @@ def _tail_table(cells: int) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
     for c in range(1, cells + 1):
         start[c] = min(start[c], start[c - 1])
     return tails, start
-
-
-def _walk_free(cols: list[int], remaining: int, largest: int, cols_left: int, visit) -> None:
-    """Visit the completions of ``cols`` by at most ``cols_left`` columns
-    of height at most ``largest`` holding ``remaining`` cells."""
-    if remaining <= _TAIL_CELLS:
-        tails, start = _tail_table(remaining)
-        tails = tails[start[min(largest, remaining)]:]
-        if cols_left < remaining:
-            tails = [t for t in tails if len(t) <= cols_left]
-        visit(cols, tails)
-        return
-    if largest == 1:
-        # the only completion is a run of single cells
-        if remaining <= cols_left:
-            visit(cols, ((1,) * remaining,))
-        return
-    if cols_left == 0:
-        return
-    lo = -(-remaining // cols_left)
-    for c in range(min(largest, remaining), lo - 1, -1):
-        cols.append(c)
-        _walk_free(cols, remaining - c, c, cols_left - 1, visit)
-        cols.pop()
-
-
-def _walk_directed(
-    cols: list[int],
-    remaining: int,
-    largest: int,
-    cols_left: int,
-    k: int,
-    bs: list[int],
-    need: list[list[int]],
-    shifts: Sequence[int],
-    visit,
-) -> None:
-    """As ``_walk_free``, for completions that meet the targets bs[k:],
-    where ``cols`` already meets bs[:k]."""
-    j = len(cols)
-    if cols_left < len(bs) - k or remaining < need[k][j]:
-        return
-    s = shifts[j]
-    b = bs[k]
-    lo = max(-(-remaining // cols_left), max(b, 1) + s)
-    for c in range(min(largest, remaining), lo - 1, -1):
-        cols.append(c)
-        if c - s != b:
-            _walk_directed(cols, remaining - c, c, cols_left - 1, k, bs, need, shifts, visit)
-        elif k + 1 < len(bs):
-            _walk_directed(cols, remaining - c, c, cols_left - 1, k + 1, bs, need, shifts, visit)
-        else:
-            _walk_free(cols, remaining - c, c, cols_left - 1, visit)
-        cols.pop()
 
 
 # cells whose float arrays are evaluated together: a stratum of size n is
@@ -500,34 +407,85 @@ def _walk_stratum(
     with at most ``cut`` = (rows, columns) whose positive coordinates
     contain all target points, in reverse lexicographic order of parts.
 
-    The walk's column heights are gathered into chunks of
-    ``_CHUNK_CELLS // n`` diagrams, and each chunk is hooked by
-    ``_chunk_hooks``."""
+    One recursion, ``walk``, builds the column heights left to right,
+    tallest first.  Column j (0-based) of height c carries the positive
+    coordinate c - shifts[j], which never increases with j, so the
+    targets bs are met largest first and k counts those met.  A prefix is
+    cut as soon as its last coordinate lies below bs[k] (or at c -
+    shifts[j] <= 0, where no positive coordinate exists), or the cells
+    left cannot reach bs[k:].  Once every target is met, completions of
+    at most ``_TAIL_CELLS`` cells are read from a table, and a completion
+    by columns of height 1 is one run of single cells.  The heights are
+    gathered into chunks of ``_CHUNK_CELLS // n`` diagrams, each chunk is
+    hooked by ``_chunk_hooks``, and the chunks are copied into one
+    array."""
+    bs = sorted(target_bs, reverse=True)
+    t = len(bs)
+    # need[k][j]: fewest cells that columns j, j+1, ... (0-based) must hold
+    # to meet bs[k:], each unmet target taking a later column; more than n
+    # when there are too few columns left
+    need = [[0] * (n + 1) for _ in range(t + 1)]
+    for k in range(t - 1, -1, -1):
+        least = max(bs[k], 1)
+        row, later = need[k], need[k + 1]
+        row[n] = n + 1
+        for j in range(n):
+            row[j] = least + shifts[j] + later[j + 1]
     chunk = max(1, _CHUNK_CELLS // n)
+    cols: list[int] = []
     heights: list[int] = []
     widths: list[int] = []
     done: list[tuple[np.ndarray, np.ndarray]] = []
 
-    def flush():
-        done.append(_chunk_hooks(n, th, heights, widths))
-        heights.clear()
-        widths.clear()
-
-    def visit(cols, tails):
+    def add(tails):
         for tail in tails:
             heights.extend(cols)
             heights.extend(tail)
             widths.append(len(cols) + len(tail))
             if len(widths) == chunk:
-                flush()
+                done.append(_chunk_hooks(n, th, heights, widths))
+                heights.clear()
+                widths.clear()
 
-    _walk_columns(n, shifts, target_bs, *cut, visit)
+    def walk(remaining: int, largest: int, cols_left: int, k: int) -> None:
+        # the completions of cols by at most cols_left columns of height at
+        # most largest holding remaining cells that meet bs[k:]; column j
+        # meets bs[k] at height hit, and no column is 0 high once k == t
+        if k == t:
+            if remaining <= _TAIL_CELLS:
+                tails, start = _tail_table(remaining)
+                tails = tails[start[min(largest, remaining)]:]
+                add(tails if remaining <= cols_left else [s for s in tails if len(s) <= cols_left])
+                return
+            if largest == 1:
+                if remaining <= cols_left:
+                    add(((1,) * remaining,))
+                return
+            if cols_left == 0:
+                return
+            lo = -(-remaining // cols_left)
+            hit = 0
+        else:
+            j = len(cols)
+            if cols_left < t - k or remaining < need[k][j]:
+                return
+            hit = bs[k] + shifts[j]
+            lo = max(-(-remaining // cols_left), max(bs[k], 1) + shifts[j])
+        for c in range(min(largest, remaining), lo - 1, -1):
+            cols.append(c)
+            walk(remaining - c, c, cols_left - 1, k + (c == hit))
+            cols.pop()
+
+    walk(n, *cut, 0)
     if widths:
-        flush()
+        done.append(_chunk_hooks(n, th, heights, widths))
     if not done:
         return np.zeros((0, 0), dtype=np.uint8), np.zeros(0)
-    rows = max(parts.shape[1] for parts, _ in done)
-    parts = np.concatenate([np.pad(p, ((0, 0), (0, rows - p.shape[1]))) for p, _ in done])
+    parts = np.zeros((sum(len(h) for _, h in done), max(p.shape[1] for p, _ in done)), dtype=np.uint8)
+    lo = 0
+    for p, _ in done:
+        parts[lo:lo + len(p), :p.shape[1]] = p
+        lo += len(p)
     hooks = np.concatenate([h for _, h in done])
     # the order iter_partition_tuples yields, so that sums are bit-stable
     order = np.lexsort(parts.T[::-1])[::-1]

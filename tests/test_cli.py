@@ -208,6 +208,18 @@ def test_malformed_permutation_exit_2(g):
 
 
 @pytest.mark.parametrize(
+    "lam",
+    ["4,-1", "1,2", "2,0", "0", "1,3"],
+)
+def test_gelfand_non_partition_lam_exit_2(capsys, lam):
+    # zonal functions are indexed by partitions: the others print nothing
+    assert run(["gelfand", "--n", "3", "--g", "1,2", "--lam", lam]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "parts must be" in captured.err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         # |z|^2, or t^(circles-1) / ((t+2) ... (t+2n-2)), overflows

@@ -109,6 +109,34 @@ def test_character_cap():
         character_S2n((10,), (10,))
 
 
+@pytest.mark.parametrize(
+    "mu, cls",
+    [((2, 4), (1,) * 6), ((3, 0), (1, 1, 1)), ((4, -1), (1, 1, 1)), ((1.0,), (1,)),
+     ((2,), (2, 0)), ((3,), (4, -1)), ((2,), (1.0, 1))],
+)
+def test_character_refuses_non_partitions(mu, cls):
+    # (2, 4) read 5 at the identity, where (4, 2) gives the dimension 9
+    with pytest.raises(DomainError):
+        character_S2n(mu, cls)
+
+
+def test_character_takes_cycle_type_in_any_order():
+    assert character_S2n((4, 2), (1, 5)) == character_S2n((4, 2), (5, 1)) == -1
+
+
+@pytest.mark.parametrize("lam", [(1, 2), (2, 0, 1), (4, -1), (2.0, 1)])
+def test_zonal_refuses_non_partitions(lam):
+    # zonal_spherical((1, 2), e) read 0, but every zonal function is 1 at e
+    with pytest.raises(DomainError):
+        zonal_spherical(lam, identity_perm(2 * 3))
+
+
+@pytest.mark.parametrize("g", [(0, 0), (1, 1, 2, 3), (0, 1, 2, 4)])
+def test_zonal_refuses_non_permutations(g):
+    with pytest.raises(DomainError):
+        zonal_spherical((len(g) // 2,), g)
+
+
 def test_zonal_normalization_and_bounds():
     for n in (1, 2, 3):
         for parts in iter_partition_tuples(n):

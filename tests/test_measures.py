@@ -6,6 +6,7 @@ import math
 import weakref
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -589,6 +590,50 @@ def test_stratum_sum_bit_identical(case, n, per_chunk):
     total, count = _reference_stratum_sum(n, p, bs, max_rows, max_cols)
     assert got[0].hex() == total.hex()
     assert got[1] == count
+
+
+# z whose zero cuts are below n: -2 cuts columns; 1.5 and 4 cut rows at
+# theta = 1/2 and 2 (and 4 at every theta here); None draws a cut directly
+_WALK_Z = (None, None, -2.0, 1.5, 4.0, 0.3 + 0.7j)
+
+
+@st.composite
+def _walk_cases(draw):
+    n = draw(st.integers(1, 14))
+    theta = draw(st.sampled_from(THETAS))
+    bs = tuple(draw(st.lists(st.integers(1, 6), max_size=3, unique=True)))
+    z = draw(st.sampled_from(_WALK_Z))
+    if z is None:
+        cut = (draw(st.integers(0, n)), draw(st.integers(0, n)))
+    else:
+        cut = measures._MeasureEngine(z, theta).zero_cut(n)
+    return n, theta, bs, cut
+
+
+@settings(max_examples=150, deadline=None)
+@given(_walk_cases())
+# no targets: the run of single cells (14 = 1 + 13 one-cell columns), a
+# run too long for the columns (one row, 13 columns), the tail filter (3
+# columns), and no columns at all
+@example((14, Fraction(1, 2), (), (14, 14)))
+@example((14, Fraction(1, 2), (), (1, 13)))
+@example((10, Fraction(1, 3), (), (10, 3)))
+@example((14, Fraction(1, 2), (), (14, 0)))
+@example((13, Fraction(2), (2,), (13, 13)))
+def test_walk_stratum_yields_the_enumerated_diagrams(case):
+    # the diagrams themselves, in enumeration order, and their hook logs as
+    # _hook_log gives them, bit for bit
+    n, theta, bs, cut = case
+    th = float(theta)
+    parts, hooks = measures._walk_stratum(n, th, column_shifts(theta, n), bs, cut)
+    X = {Fraction(2 * b + 1, 2) for b in bs}
+    expected = [
+        lam for lam in iter_partition_tuples(n, max_rows=cut[0])
+        if lam[0] <= cut[1] and X <= set(frobenius_coordinates(YoungDiagram(lam), theta).positives)
+    ]
+    assert parts.dtype == np.uint8
+    assert [tuple(int(v) for v in row if v) for row in parts] == expected
+    assert [h.hex() for h in hooks.tolist()] == [measures._hook_log(lam, th).hex() for lam in expected]
 
 
 def test_stratum_sum_bit_identical_across_default_chunks():
