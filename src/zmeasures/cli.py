@@ -26,15 +26,15 @@ from .kernels import KernelParams, matrix_kernel, scalar_whittaker_kernel
 from .measures import (
     ZParams,
     lattice_correlation,
-    mixed_z_measure,
     negative_binomial_weight,
-    z_measure,
+    z_measure_table,
 )
 from .pairings import cycle_count, enumerate_matchings, t_measure
 from .partitions import (
     HALF,
     YoungDiagram,
     _as_fraction,
+    check_enumeration_size,
     frobenius_coordinates,
     half_integer,
     iter_partition_tuples,
@@ -98,29 +98,30 @@ def _cmd_partitions(args) -> list[dict]:
     return rows
 
 
+def _table(n: int, p: ZParams):
+    """(partition as printed, z-measure) for the partitions of n, formatted row by row."""
+    parts, measures = z_measure_table(n, p)
+    return zip((" ".join(str(v) for v in row.tolist() if v) for row in parts), measures.tolist())
+
+
 def _cmd_zmeasure(args) -> list[dict]:
-    p = ZParams(args.z, args.theta)
     rows = []
     total = 0.0
-    for parts in iter_partition_tuples(args.n):
-        m = z_measure(YoungDiagram(parts), p)
+    for lam, m in _table(args.n, ZParams(args.z, args.theta)):
         total += m
-        rows.append({"partition": " ".join(map(str, parts)), "measure": repr(m)})
+        rows.append({"partition": lam, "measure": repr(m)})
     rows.append({"partition": "TOTAL", "measure": repr(total)})
     return rows
 
 
 def _cmd_mixed(args) -> list[dict]:
     p = ZParams(args.z, args.theta, args.xi)
-    rows = []
-    for n in range(0, args.n + 1):
+    check_enumeration_size(args.n)
+    rows = [{"n": 0, "partition": "-", "measure": repr(negative_binomial_weight(0, p))}]
+    for n in range(1, args.n + 1):
+        # the weight times the measure, as mixed_z_measure forms it
         w = negative_binomial_weight(n, p)
-        if n == 0:
-            rows.append({"n": 0, "partition": "-", "measure": repr(w)})
-            continue
-        for parts in iter_partition_tuples(n):
-            m = mixed_z_measure(YoungDiagram(parts), p)
-            rows.append({"n": n, "partition": " ".join(map(str, parts)), "measure": repr(m)})
+        rows += ({"n": n, "partition": lam, "measure": repr(w * m if w else w)} for lam, m in _table(n, p))
     return rows
 
 

@@ -17,9 +17,9 @@ from functools import lru_cache
 from typing import Iterable
 
 from .errors import DomainError, ParameterError, ResourceCapError
-from .measures import ZParams, z_measure
+from .measures import ZParams, z_measure_table
 from .pairings import Matching, circle_lengths
-from .partitions import HALF, YoungDiagram, iter_partition_tuples
+from .partitions import HALF, YoungDiagram
 
 COSET_TYPE_CAP = 6  # n, i.e. permutations of up to 12 points
 CHARACTER_CAP = 8  # 2n
@@ -189,18 +189,18 @@ def zonal_spherical(lam: YoungDiagram | tuple[int, ...], g: Perm) -> Fraction:
 
 
 def spherical_restriction(p: ZParams, n: int, g: Perm) -> float:
-    """Restriction of the spherical function to S(2n):
-    sum over |lam| = n of M^{(n)}_{z, zbar, 1/2}(lam) w^lam(g)."""
+    """Restriction of the spherical function to S(2n): the sum over
+    ``z_measure_table(n, p)`` of M^{(n)}_{z, zbar, 1/2}(lam) w^lam(g)."""
     if p.theta != HALF:
         raise ParameterError("the spherical function lives at theta = 1/2")
     if n > ZONAL_CAP:
         raise ResourceCapError(f"spherical restriction capped at n <= {ZONAL_CAP}")
     if len(g) != 2 * n:
         raise DomainError(f"g must permute {2 * n} points")
+    parts, measures = z_measure_table(n, p)
     total = 0.0
-    for parts in iter_partition_tuples(n):
-        lam = YoungDiagram(parts)
-        total += z_measure(lam, p) * float(zonal_spherical(lam, g))
+    for row, m in zip(parts.tolist(), measures.tolist()):
+        total += m * float(zonal_spherical(tuple(v for v in row if v), g))
     return total
 
 

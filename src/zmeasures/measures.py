@@ -19,10 +19,11 @@ The measure has one float recipe, ``_weigh``, which weighs diagrams of
 one size together in numpy: row Pochhammer logs from the engine's one
 table (``_MeasureEngine.row_log_table``), 0 for a diagram with a row
 that reaches a zero factor, and exp(lgamma(n + 1) + num - (hook +
-gamma)) for the rest.  ``lattice_correlation`` weighs whole strata with
-it and sums them in the order of a full reverse-lexicographic
-enumeration; ``z_measure`` (so ``mixed_z_measure``, the CLI tables and
-``spherical_restriction``) weighs one diagram with it.
+gamma)) for the rest.  It weighs whole strata: ``lattice_correlation``
+sums them in the order of a full reverse-lexicographic enumeration, and
+``z_measure_table`` returns the uncut stratum of a size n, all its
+partitions, for the CLI tables and ``spherical_restriction``.
+``z_measure`` (so ``mixed_z_measure``) weighs one diagram with it.
 
 The hook term log H + log H' comes from ``_hook_log``, which does not
 depend on z.  It renormalises the hook products at row ends; a diagram
@@ -35,7 +36,7 @@ points and the zero cut, but not on z: z enters only through the row
 Pochhammer factors and the Gamma normaliser.  So a stratum is walked
 once (``_walk_stratum``, one recursion over column heights, which hooks
 the diagrams in numpy chunks of ``_CHUNK_CELLS // n`` with
-``_hook_log``'s float operations) and kept
+``_hook_log``'s float operations) and kept by ``_weigh_stratum``
 in ``_strata``, a least-recently-used store of at most ``_STORE_BYTES``;
 each new z only weighs the kept diagrams, in chunks of
 ``_CHUNK_CELLS // rows``, so the float arrays stay near ``_CHUNK_CELLS``
@@ -84,6 +85,7 @@ from .partitions import (
     HALF,
     YoungDiagram,
     _as_fraction,
+    check_enumeration_size,
     column_shifts,
     half_integer,
     hook_rows,
@@ -556,6 +558,17 @@ def _weigh(n: int, eng: _MeasureEngine, parts: np.ndarray, hooks: np.ndarray) ->
     return m
 
 
+def _weigh_stratum(n: int, eng: _MeasureEngine, shifts: Sequence[int], target_bs: Sequence[int],
+                   cut: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The parts of ``_walk_stratum(n, eng.theta, shifts, target_bs, cut)``,
+    kept in ``_strata`` under all the walk reads (1/3 and the float nearest
+    it shift different columns, so they walk apart), and their z-measures."""
+    th = eng.theta
+    key = (th, tuple(shifts[:n]), tuple(sorted(target_bs)), cut)
+    parts, hooks = _strata.get(key, lambda: _walk_stratum(n, th, shifts, target_bs, cut))
+    return parts, _weigh(n, eng, parts, hooks)
+
+
 def _stratum_sum(
     n: int,
     eng: _MeasureEngine,
@@ -565,25 +578,25 @@ def _stratum_sum(
     """Sum of the z-measures under ``eng`` of the partitions of n whose
     positive coordinates contain all target points, in reverse
     lexicographic order of parts, and how many of them are nonzero.
-    ``shifts`` is ``column_shifts`` of theta, at least n long.
-
-    The walk never builds a diagram with more rows or columns than
-    ``eng.zero_cut(n)`` allows.  What it finds does not depend on z, so it
-    is kept in ``_strata`` under what the walk and the hook logs read:
-    theta as a float, the first n column shifts of the exact theta, the
-    sorted targets and the cut.  1/3 and 0.3333333333333333 are one float
-    but shift different columns, so they walk apart.  Each new z only
-    weighs the kept diagrams (``_weigh``)."""
-    cut = eng.zero_cut(n)
-    th = eng.theta
-    key = (th, tuple(shifts[:n]), tuple(sorted(target_bs)), cut)
-    parts, hooks = _strata.get(key, lambda: _walk_stratum(n, th, shifts, target_bs, cut))
-    m = _weigh(n, eng, parts, hooks).tolist()
+    ``shifts`` is ``column_shifts`` of theta, at least n long.  The walk
+    never builds a diagram with more rows or columns than
+    ``eng.zero_cut(n)`` allows, and is kept by ``_weigh_stratum``."""
+    m = _weigh_stratum(n, eng, shifts, target_bs, eng.zero_cut(n))[1].tolist()
     # the measures are >= 0, so adding a zero leaves the sum unchanged
     total = 0.0
     for v in m:
         total += v
     return total, len(m) - m.count(0.0)
+
+
+def z_measure_table(n: int, p: ZParams) -> tuple[np.ndarray, np.ndarray]:
+    """The partitions of n >= 1, zero-padded uint8 rows in the order of
+    ``iter_partition_tuples``, and their z-measures, the floats of
+    ``z_measure``: the uncut stratum, walked and weighed once."""
+    if n == 0:
+        raise DomainError("z-measure requires |lam| >= 1")
+    check_enumeration_size(n)
+    return _weigh_stratum(n, _engine(p.z, p.theta), column_shifts(p.theta, n), (), (n, n))
 
 
 def lattice_correlation(
@@ -592,31 +605,20 @@ def lattice_correlation(
     n_max: int,
 ) -> CorrelationReport:
     """Probability that (A|B)_theta(lam) contains X, under the mixed
-    z-measure truncated at |lam| <= n_max.
+    z-measure truncated at |lam| <= n_max, with the negative-binomial tail
+    mass beyond n_max as its truncation bound.
 
-    The truncation bound is the negative-binomial tail mass beyond
-    n_max.  Each size n is summed over the partitions of n whose
-    positive coordinates contain X, found by a column-by-column walk that
-    cuts every prefix no completion of which can contain X; diagrams
-    whose measure vanishes identically because of a first-row or
-    first-column Pochhammer zero are never generated.  The walk does not
-    depend on z, so each stratum is walked and hooked once and kept in a
-    store of at most ``_STORE_BYTES`` shared by every z: a later z with
-    the same theta, points and zero cut only weighs the kept diagrams, in
-    numpy batches by the ``_weigh`` that ``z_measure`` also uses, and
-    adds them in reverse lexicographic order of parts, the order of a
-    full enumeration.  Hook products that leave the float range inside a
-    row (a row of 171 or more cells) are summed as logs, so every size up
-    to ``LATTICE_NMAX_CAP`` counts.  ``terms_summed`` counts the diagrams
-    with nonzero measure that contain X.  The point 1/2 is no positive
-    coordinate of any diagram, so an X holding it returns 0 without a
-    walk.
-
-    The stratum sums depend on neither xi nor n_max, and are kept on the
-    (z, theta) engine by size and sorted points: a size already summed
-    there, at any xi, n_max or order of X, is read back, not weighed, and
-    gives the same float.  ``n_max`` must be an integer (ParameterError
-    otherwise) in [0, ``LATTICE_NMAX_CAP``] (ResourceCapError).
+    Each size n adds the stratum sum (``_stratum_sum``) of the partitions
+    of n whose positive coordinates contain X, walked, kept and weighed as
+    the module docstring says: diagrams that a first-row or first-column
+    Pochhammer zero kills are never built, every size up to
+    ``LATTICE_NMAX_CAP`` counts, and a size already summed at this (z,
+    theta), at any xi, n_max or order of X, is read back with the same
+    float.  ``terms_summed`` counts the diagrams with nonzero measure that
+    contain X.  The point 1/2 is no positive coordinate of any diagram, so
+    an X holding it returns 0 without a walk.  ``n_max`` must be an
+    integer (ParameterError otherwise) in [0, ``LATTICE_NMAX_CAP``]
+    (ResourceCapError).
     """
     n_max = validate_n_max(n_max, LATTICE_NMAX_CAP)
     target_bs = tuple(sorted(_validate_lattice_points(X)))

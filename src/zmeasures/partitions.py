@@ -118,13 +118,18 @@ class LatticeConfig:
             raise DomainError("positive entries must descend (b_j weakly decreasing)")
 
 
-def iter_partition_tuples(n: int, max_rows: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Reverse-lexicographic partition generator yielding raw tuples, with
-    at most ``max_rows`` parts when that is given."""
+def check_enumeration_size(n: int) -> None:
+    """DomainError for n < 0, ResourceCapError for n > ``ENUMERATION_CAP``."""
     if n < 0:
         raise DomainError(f"n must be nonnegative, got {n}")
     if n > ENUMERATION_CAP:
         raise ResourceCapError(f"partition enumeration capped at n <= {ENUMERATION_CAP}, got {n}")
+
+
+def iter_partition_tuples(n: int, max_rows: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Reverse-lexicographic partition generator yielding raw tuples, with
+    at most ``max_rows`` parts when that is given."""
+    check_enumeration_size(n)
     if max_rows is not None and max_rows < 0:
         raise DomainError(f"max_rows must be nonnegative, got {max_rows}")
     rows = n if max_rows is None else max_rows

@@ -22,8 +22,8 @@ _NEAR_SINGULAR = 1e-14
 
 @dataclass(frozen=True)
 class AntisymmetricMatrix:
-    """Even-dimensional real antisymmetric matrix; construction enforces
-    A = -A^T to ANTISYMMETRY_BUILD_TOL and then antisymmetrizes exactly."""
+    """Even-dimensional real antisymmetric matrix with finite entries: A = -A^T
+    exactly, or to ANTISYMMETRY_BUILD_TOL through ``from_array``, which antisymmetrizes."""
 
     data: np.ndarray
 
@@ -34,23 +34,22 @@ class AntisymmetricMatrix:
             raise DomainError(f"matrix must be square, got shape {m.shape}")
         if m.shape[0] % 2 != 0:
             raise DomainError(f"dimension must be even, got {m.shape[0]}")
+        if not np.isfinite(m).all():
+            raise DomainError("matrix entries must be finite")
         violation = np.abs(m + m.T).max() if m.size else 0.0
         scale = max(1.0, np.abs(m).max()) if m.size else 1.0
         if violation > ANTISYMMETRY_BUILD_TOL * scale:
             raise DomainError(
                 f"matrix is not antisymmetric: max |A + A^T| = {violation:.3e}"
             )
-        sym = 0.5 * (m - m.T)
-        out = AntisymmetricMatrix.__new__(AntisymmetricMatrix)
-        object.__setattr__(out, "data", sym)
-        return out
+        return AntisymmetricMatrix(0.5 * (m - m.T))
 
     def __post_init__(self):
         m = self.data
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2 != 0:
             raise DomainError(f"need an even-dimensional square matrix, got {m.shape}")
-        if m.size and np.abs(m + m.T).max() > 0.0:
-            raise DomainError("use AntisymmetricMatrix.from_array to antisymmetrize")
+        if not (np.isfinite(m).all() and (m == -m.T).all()):
+            raise DomainError("need finite entries and A = -A^T exactly; from_array antisymmetrizes")
 
 
 def pfaffian(A: AntisymmetricMatrix | np.ndarray) -> float:
@@ -122,9 +121,12 @@ def assemble(
     for i, x in enumerate(xs):
         for j, y in enumerate(xs):
             m[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = block(x, y).as_array()
+    if not np.isfinite(m).all():
+        raise NumericalError("assembled kernel matrix has a non-finite entry")
     violation = np.abs(m + m.T).max()
     if violation > ASSEMBLY_TOL * max(1.0, np.abs(m).max()):
         raise NumericalError(
             f"assembled kernel matrix violates antisymmetry: {violation:.3e}"
         )
-    return AntisymmetricMatrix.from_array(0.5 * (m - m.T))
+    # exactly antisymmetric already: m - m.T negates under transposition
+    return AntisymmetricMatrix(0.5 * (m - m.T))

@@ -114,6 +114,38 @@ def test_readme_line_prints_reference(capsys, line):
     assert (code, out) == (op["expect"]["returncode"], op["expect"]["stdout"])
 
 
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        ("mixed --z 1.5,0 --xi 0.5 --n 6", "mixed_z1.5_0_xi0.5_n6.csv"),
+        # xi = 0: every size above 0 weighs 0, as mixed_z_measure forms it
+        ("mixed --z 1,0 --xi 0 --n 4", "mixed_z1_0_xi0_n4.csv"),
+        ("zmeasure --z 1,1 --theta 0.5 --n 12", "zmeasure_z1_1_theta0.5_n12.csv"),
+    ],
+)
+def test_table_golden(capsys, argv, golden):
+    # stdout recorded from the per-diagram z_measure loop the tables replaced
+    assert capture(capsys, argv.split()) == (0, (ROOT / "tests" / "golden" / golden).read_text())
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("zmeasure --z 1,0 --n 0", "z-measure requires |lam| >= 1"),
+        ("zmeasure --z 1,0 --n -1", "n must be nonnegative, got -1"),
+        ("zmeasure --z 1,0 --n 101", "partition enumeration capped at n <= 100, got 101"),
+        ("mixed --z 1,0 --xi 0.5 --n -1", "n must be nonnegative, got -1"),
+        ("mixed --z 1,0 --xi 0.5 --n 101", "partition enumeration capped at n <= 100, got 101"),
+    ],
+)
+def test_table_size_refused_before_any_weighing(capsys, monkeypatch, argv, message):
+    monkeypatch.setattr("zmeasures.measures._weigh", None)
+    assert run(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_lattice_corr_readme_line_golden(capsys):
     code, out = capture(
         capsys, ["lattice-corr", "--z", "0.5,0", "--xi", "0.5", "--x", "3/2", "--nmax", "30"]

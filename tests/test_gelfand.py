@@ -19,8 +19,8 @@ from zmeasures.gelfand import (
     spherical_restriction,
     zonal_spherical,
 )
-from zmeasures.measures import ZParams
-from zmeasures.partitions import iter_partition_tuples
+from zmeasures.measures import ZParams, z_measure
+from zmeasures.partitions import YoungDiagram, iter_partition_tuples
 
 from oracles import all_permutations, class_size, coset_type_union_find, identity_perm
 
@@ -171,6 +171,16 @@ def test_spherical_restriction_identity():
         for n in (1, 2, 3):
             val = spherical_restriction(ZParams(z, 0.5), n, identity_perm(2 * n))
             assert val == pytest.approx(1.0, abs=1e-12)
+
+
+def test_spherical_restriction_is_the_z_measure_loop_bit_for_bit():
+    g = from_cycles(8, [(1, 3, 5), (6, 7), (2, 4, 8)])
+    for z in (0.3 + 0.7j, 1.0, 1 + 1j):
+        p = ZParams(z, 0.5)
+        total = 0.0
+        for parts in iter_partition_tuples(4):
+            total += z_measure(YoungDiagram(parts), p) * float(zonal_spherical(parts, g))
+        assert spherical_restriction(p, 4, g).hex() == total.hex()
 
 
 def test_spherical_restriction_coherence():

@@ -444,6 +444,31 @@ def test_enumerator_measures_bit_identical(z, theta):
             assert m == _reference_measure(parts, complex(z), theta)
 
 
+@pytest.mark.parametrize(
+    "z, theta",
+    [(0.3 + 0.7j, Fraction(1, 3)), (0.3 + 0.7j, Fraction(1, 2)), (1.0, Fraction(1, 2)),
+     (1.5, Fraction(1, 2)), (-2.0, Fraction(1)), (1 + 1j, Fraction(1)), (1 + 1j, Fraction(2)),
+     (0.7 - 0.2j, Fraction(2))],
+)
+def test_z_measure_table_matches_the_loop(z, theta):
+    # 1 and 1.5 cut rows at theta = 1/2 and -2 cuts columns: the table
+    # still lists every partition, the cut ones with measure 0
+    p = ZParams(z, theta)
+    for n in range(1, 21):
+        parts, m = measures.z_measure_table(n, p)
+        assert [tuple(v for v in row if v) for row in parts.tolist()] == list(iter_partition_tuples(n))
+        assert [v.hex() for v in m.tolist()] == [
+            z_measure(YoungDiagram(lam), p).hex() for lam in iter_partition_tuples(n)
+        ]
+
+
+@pytest.mark.parametrize("n, error", [(0, DomainError), (-1, DomainError), (101, ResourceCapError)])
+def test_z_measure_table_refuses_sizes_before_walking(n, error, monkeypatch):
+    monkeypatch.setattr(measures, "_walk_stratum", None)
+    with pytest.raises(error):
+        measures.z_measure_table(n, ZParams(0.3 + 0.7j))
+
+
 THETAS = (Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(2))
 
 

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,33 @@ def test_construction_validation():
         AntisymmetricMatrix.from_array(np.ones((2, 2)))
     m = AntisymmetricMatrix.from_array([[0, 1.0], [-1.0, 0]])
     assert m.data.shape[0] == 2
+
+
+@pytest.mark.parametrize("v", [np.nan, np.inf])
+def test_non_finite_entries_are_refused(v):
+    # every comparison with NaN is false, and inf - (-inf) antisymmetrizes
+    # to inf: both used to pass the antisymmetry checks
+    with pytest.raises(DomainError, match="finite"):
+        pfaffian([[0.0, v], [-v, 0.0]])
+    with pytest.raises(DomainError, match="finite"):
+        AntisymmetricMatrix(np.array([[0.0, v], [-v, 0.0]]))
+
+
+def test_constructor_takes_exact_antisymmetry_only():
+    a = np.array([[0.0, 2.0], [-2.0, 0.0]])
+    assert AntisymmetricMatrix(a).data is a
+    with pytest.raises(DomainError, match="from_array"):
+        AntisymmetricMatrix(np.array([[0.0, 2.0], [-2.0 + 1e-15, 0.0]]))
+
+
+def test_assemble_refuses_a_non_finite_block(monkeypatch):
+    from zmeasures.kernels import MatrixKernelValue
+
+    # the module, which the package's own name pfaffian shadows
+    nan_block = MatrixKernelValue(0.0, np.nan, np.nan, 0.0, 0.0)
+    monkeypatch.setattr(sys.modules["zmeasures.pfaffian"], "matrix_kernel", lambda x, y, p: nan_block)
+    with pytest.raises(NumericalError, match="non-finite"):
+        assemble([1.0, 2.0], KernelParams(0.3 + 0.4j))
 
 
 def test_two_by_two():
