@@ -10,8 +10,11 @@ CSV (default) or JSON via --format, to stdout or --out.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import sys
+from typing import Iterable, Iterator
 
 from .correlations import continuum_correlation  # noqa: F401 (perfbench/tracing.py wraps it here)
 from .correlations import DEFAULT_NMAX, verify_limit
@@ -57,24 +60,19 @@ def _parse_float_list(s: str) -> list[float]:
     return [float(v) for v in s.split(",")]
 
 
-def _emit(rows: list[dict], fmt: str, out: str | None):
-    """rows: list of flat dicts with identical keys."""
-    if fmt == "json":
-        text = json.dumps(rows, indent=2, default=str) + "\n"
-    else:
-        if rows:
-            keys = list(rows[0].keys())
-            lines = [",".join(keys)]
-            for r in rows:
-                lines.append(",".join(str(r[k]) for k in keys))
-            text = "\n".join(lines) + "\n"
-        else:
-            text = ""
-    if out:
-        with open(out, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(rows: Iterable[dict], fmt: str, out: str | None):
+    """rows: flat dicts with identical keys, written as CSV line by line as
+    they are formatted, or as one JSON array."""
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as f:
+        if fmt == "json":
+            f.write(json.dumps(list(rows), indent=2, default=str) + "\n")
+            return
+        rows = iter(rows)
+        first = next(rows, None)
+        if first is not None:
+            keys = list(first)
+            f.write(",".join(keys) + "\n")
+            f.writelines(",".join(str(r[k]) for k in keys) + "\n" for r in itertools.chain([first], rows))
 
 
 def _add_common(sp: argparse.ArgumentParser):
@@ -82,47 +80,46 @@ def _add_common(sp: argparse.ArgumentParser):
     sp.add_argument("--out", default=None, help="output path (default stdout)")
 
 
-def _cmd_partitions(args) -> list[dict]:
-    rows = []
-    for parts in iter_partition_tuples(args.n, max_rows=args.max_rows):
-        lam = YoungDiagram(parts)
-        cfg = frobenius_coordinates(lam, args.theta)
-        rows.append(
-            {
-                "partition": " ".join(map(str, parts)),
-                "rows": len(parts),
-                "negatives": " ".join(str(v) for v in cfg.negatives),
-                "positives": " ".join(str(v) for v in cfg.positives),
-            }
-        )
-    return rows
+def _partition_row(parts: tuple[int, ...], theta) -> dict:
+    cfg = frobenius_coordinates(YoungDiagram(parts), theta)
+    return {
+        "partition": " ".join(map(str, parts)),
+        "rows": len(parts),
+        "negatives": " ".join(str(v) for v in cfg.negatives),
+        "positives": " ".join(str(v) for v in cfg.positives),
+    }
 
 
-def _table(n: int, p: ZParams):
-    """(partition as printed, z-measure) for the partitions of n, formatted row by row."""
-    parts, measures = z_measure_table(n, p)
-    return zip((" ".join(str(v) for v in row.tolist() if v) for row in parts), measures.tolist())
+def _cmd_partitions(args) -> Iterator[dict]:
+    return (_partition_row(parts, args.theta) for parts in iter_partition_tuples(args.n, max_rows=args.max_rows))
 
 
-def _cmd_zmeasure(args) -> list[dict]:
-    rows = []
+def _labels(parts) -> Iterator[str]:
+    """Each zero-padded row of ``parts`` as a partition is printed."""
+    return (" ".join(str(v) for v in row.tolist() if v) for row in parts)
+
+
+def _cmd_zmeasure(args) -> Iterator[dict]:
+    parts, measures = z_measure_table(args.n, ZParams(args.z, args.theta))
+    measures = measures.tolist()
     total = 0.0
-    for lam, m in _table(args.n, ZParams(args.z, args.theta)):
+    for m in measures:
         total += m
-        rows.append({"partition": lam, "measure": repr(m)})
-    rows.append({"partition": "TOTAL", "measure": repr(total)})
-    return rows
+    rows = ({"partition": lam, "measure": repr(m)} for lam, m in zip(_labels(parts), measures))
+    return itertools.chain(rows, [{"partition": "TOTAL", "measure": repr(total)}])
 
 
-def _cmd_mixed(args) -> list[dict]:
+def _cmd_mixed(args) -> Iterator[dict]:
     p = ZParams(args.z, args.theta, args.xi)
     check_enumeration_size(args.n)
-    rows = [{"n": 0, "partition": "-", "measure": repr(negative_binomial_weight(0, p))}]
-    for n in range(1, args.n + 1):
-        # the weight times the measure, as mixed_z_measure forms it
-        w = negative_binomial_weight(n, p)
-        rows += ({"n": n, "partition": lam, "measure": repr(w * m if w else w)} for lam, m in _table(n, p))
-    return rows
+    sizes = [(n, negative_binomial_weight(n, p), *z_measure_table(n, p)) for n in range(1, args.n + 1)]
+    # the weight times the measure, as mixed_z_measure forms it
+    rows = (
+        {"n": n, "partition": lam, "measure": repr(w * m if w else w)}
+        for n, w, parts, measures in sizes
+        for lam, m in zip(_labels(parts), measures.tolist())
+    )
+    return itertools.chain([{"n": 0, "partition": "-", "measure": repr(negative_binomial_weight(0, p))}], rows)
 
 
 def _cmd_lattice_corr(args) -> list[dict]:

@@ -36,11 +36,20 @@ points and the zero cut, but not on z: z enters only through the row
 Pochhammer factors and the Gamma normaliser.  So a stratum is walked
 once (``_walk_stratum``, one recursion over column heights, which hooks
 the diagrams in numpy chunks of ``_CHUNK_CELLS // n`` with
-``_hook_log``'s float operations) and kept by ``_weigh_stratum``
-in ``_strata``, a least-recently-used store of at most ``_STORE_BYTES``;
-each new z only weighs the kept diagrams, in chunks of
-``_CHUNK_CELLS // rows``, so the float arrays stay near ``_CHUNK_CELLS``
-entries whatever a stratum holds.  A stratum sum (``_stratum_sum``),
+``_hook_log``'s float operations, and packs each diagram's positive
+coordinates into bits) and kept by ``_weigh_stratum`` in ``_strata``, a
+least-recently-used store of at most ``_STORE_BYTES``.  What it keeps is
+the whole size: every diagram of n under the zero cut, with no target
+points.  Any set of points reads its stratum from that one entry, as
+the diagrams whose coordinate bits hold all the points, so each (theta,
+n, cut) is walked once for every point set.  A whole size is admitted
+when the bytes it will take, known before the walk from the exact count
+of the diagrams in its cut box (``_box_count``), are at most
+``_STORE_BYTES // 8``; a larger size falls back to walking only the
+diagrams that contain the points, kept under the points.  Each new z
+only weighs the kept diagrams, in chunks of ``_CHUNK_CELLS // rows``, so
+the float arrays stay near ``_CHUNK_CELLS`` entries whatever a stratum
+holds.  A stratum sum (``_stratum_sum``),
 the z-measure of the diagrams of one size n that contain the points,
 depends on neither xi nor n_max: xi enters only through the
 negative-binomial weights.  Each engine, keyed by the exact theta that
@@ -344,10 +353,10 @@ def _tail_table(cells: int) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
 _CHUNK_CELLS = 4096
 
 
-def _chunk_hooks(n: int, th: float, heights: list[int], widths: list[int]):
-    """Parts (zero-padded rows) and hook logs of the partitions of n whose
-    column heights are ``heights``, diagram after diagram, with ``widths``
-    columns each.
+def _chunk_hooks(n: int, th: float, shifts: np.ndarray, heights: list[int], widths: list[int]):
+    """Parts (zero-padded rows), hook logs and positive coordinates of the
+    partitions of n whose column heights are ``heights``, diagram after
+    diagram, with ``widths`` columns each.
 
     The hook logs are the floats ``_hook_log`` returns: the same float
     operations in the same order, run across the diagrams at once.  The
@@ -357,15 +366,20 @@ def _chunk_hooks(n: int, th: float, heights: list[int], widths: list[int]):
     renormalisation test at a row end is handed to ``_hook_log`` whole;
     logs are taken per diagram with ``math``, whose rounding numpy's own
     functions do not share.
+
+    The coordinates b = c_j - shifts[j] of the columns where it is
+    positive are bits 1..rows of rows + 1, packed little-endian: bit b of
+    a diagram is bit b % 8 of its byte b // 8.
     """
     count = len(widths)
     cols = np.fromiter(heights, np.int64, len(heights))
     width = np.array(widths)
     rows = int(cols.max())
     first_col = np.cumsum(width) - width
+    # each column's diagram d owns slots d * (rows + 1) .. d * (rows + 1) + rows
+    slot = np.repeat(np.arange(0, count * (rows + 1), rows + 1), width)
     # parts[d, i] counts the columns of diagram d taller than i
-    tally = np.bincount(np.repeat(np.arange(0, count * (rows + 1), rows + 1), width) + cols,
-                        minlength=count * (rows + 1))
+    tally = np.bincount(slot + cols, minlength=count * (rows + 1))
     parts = np.cumsum(tally.reshape(count, rows + 1)[:, :0:-1], axis=1)[:, ::-1]
 
     # cell k of the chunk lies in row block r = block[k], row r % rows + 1
@@ -395,7 +409,11 @@ def _chunk_hooks(n: int, th: float, heights: list[int], widths: list[int]):
     hooks[plain] = logs
     for d in np.flatnonzero(renorm).tolist():
         hooks[d] = _hook_log(tuple(parts[d][parts[d] > 0].tolist()), th)
-    return parts.astype(np.uint8), hooks
+
+    b = cols - shifts[np.arange(len(cols)) - np.repeat(first_col, width)]
+    on = np.zeros(count * (rows + 1), dtype=bool)
+    on[(slot + b)[b > 0]] = True
+    return parts.astype(np.uint8), hooks, np.packbits(on.reshape(count, rows + 1), axis=1, bitorder="little")
 
 
 def _walk_stratum(
@@ -404,10 +422,13 @@ def _walk_stratum(
     shifts: Sequence[int],
     target_bs: Sequence[int],
     cut: tuple[int, int],
-) -> tuple[np.ndarray, np.ndarray]:
+    coords: bool = False,
+) -> tuple[np.ndarray, ...]:
     """Parts (zero-padded rows, uint8) and hook logs of the partitions of n
     with at most ``cut`` = (rows, columns) whose positive coordinates
-    contain all target points, in reverse lexicographic order of parts.
+    contain all target points, in reverse lexicographic order of parts;
+    with ``coords``, also those coordinates, as the packed bits that
+    ``_chunk_hooks`` forms (uint8, zero-padded to the widest chunk's).
 
     One recursion, ``walk``, builds the column heights left to right,
     tallest first.  Column j (0-based) of height c carries the positive
@@ -420,7 +441,7 @@ def _walk_stratum(
     by columns of height 1 is one run of single cells.  The heights are
     gathered into chunks of ``_CHUNK_CELLS // n`` diagrams, each chunk is
     hooked by ``_chunk_hooks``, and the chunks are copied into one
-    array."""
+    array each."""
     bs = sorted(target_bs, reverse=True)
     t = len(bs)
     # need[k][j]: fewest cells that columns j, j+1, ... (0-based) must hold
@@ -434,10 +455,11 @@ def _walk_stratum(
         for j in range(n):
             row[j] = least + shifts[j] + later[j + 1]
     chunk = max(1, _CHUNK_CELLS // n)
+    shift = np.array(shifts[:n], dtype=np.int64)
     cols: list[int] = []
     heights: list[int] = []
     widths: list[int] = []
-    done: list[tuple[np.ndarray, np.ndarray]] = []
+    done: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
     def add(tails):
         for tail in tails:
@@ -445,7 +467,7 @@ def _walk_stratum(
             heights.extend(tail)
             widths.append(len(cols) + len(tail))
             if len(widths) == chunk:
-                done.append(_chunk_hooks(n, th, heights, widths))
+                done.append(_chunk_hooks(n, th, shift, heights, widths))
                 heights.clear()
                 widths.clear()
 
@@ -480,39 +502,50 @@ def _walk_stratum(
 
     walk(n, *cut, 0)
     if widths:
-        done.append(_chunk_hooks(n, th, heights, widths))
-    if not done:
-        return np.zeros((0, 0), dtype=np.uint8), np.zeros(0)
-    parts = np.zeros((sum(len(h) for _, h in done), max(p.shape[1] for p, _ in done)), dtype=np.uint8)
-    lo = 0
-    for p, _ in done:
-        parts[lo:lo + len(p), :p.shape[1]] = p
-        lo += len(p)
-    hooks = np.concatenate([h for _, h in done])
+        done.append(_chunk_hooks(n, th, shift, heights, widths))
+    parts, bits = (_stack([d[i] for d in done]) for i in (0, 2))
+    hooks = np.concatenate([d[1] for d in done] or [np.zeros(0)])
     # the order iter_partition_tuples yields, so that sums are bit-stable
-    order = np.lexsort(parts.T[::-1])[::-1]
-    return parts[order], hooks[order]
+    order = np.lexsort(parts.T[::-1])[::-1] if done else np.zeros(0, dtype=np.intp)
+    return (parts[order], hooks[order], bits[order]) if coords else (parts[order], hooks[order])
+
+
+def _stack(chunks: list[np.ndarray]) -> np.ndarray:
+    """The uint8 rows of ``chunks`` one under another, zero-padded to the
+    widest."""
+    out = np.zeros((sum(map(len, chunks)), max((c.shape[1] for c in chunks), default=0)), dtype=np.uint8)
+    lo = 0
+    for c in chunks:
+        out[lo:lo + len(c), :c.shape[1]] = c
+        lo += len(c)
+    return out
 
 
 # bytes the walked strata may hold, counting each entry's arrays and a
 # fixed overhead for its key and bookkeeping
 _STORE_BYTES = 2 << 20
-_ENTRY_BYTES = 512
+# sys.getsizeof of an entry's key with its theta, shifts and cut tuples,
+# of its tuple of three arrays and of their headers is 664 B + 8 B per
+# shift (904 B at n = 30), and its OrderedDict slot about 80 B more
+_ENTRY_BYTES = 1024
 
 
-def _entry_bytes(entry: tuple[np.ndarray, np.ndarray]) -> int:
-    return entry[0].nbytes + entry[1].nbytes + _ENTRY_BYTES
+def _entry_bytes(entry: tuple[np.ndarray, np.ndarray, np.ndarray]) -> int:
+    return sum(a.nbytes for a in entry) + _ENTRY_BYTES
 
 
 class _StratumStore:
     """Walked strata, least recently used first, holding at most
-    ``_STORE_BYTES``.  A stratum larger than that is returned, not kept."""
+    ``_STORE_BYTES``.  Each entry is (parts, hook logs, coordinate bits)
+    as ``_walk_stratum`` returns them with coordinates, and counts their
+    bytes plus ``_ENTRY_BYTES`` for its key, tuple and array headers.  A
+    stratum larger than the whole budget is returned, not kept."""
 
     def __init__(self):
         self.used = 0
-        self._entries: OrderedDict[tuple, tuple[np.ndarray, np.ndarray]] = OrderedDict()
+        self._entries: OrderedDict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = OrderedDict()
 
-    def get(self, key: tuple, walk) -> tuple[np.ndarray, np.ndarray]:
+    def get(self, key: tuple, walk) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The entry under ``key``, from ``walk()`` when it is not kept."""
         entry = self._entries.get(key)
         if entry is not None:
@@ -558,14 +591,63 @@ def _weigh(n: int, eng: _MeasureEngine, parts: np.ndarray, hooks: np.ndarray) ->
     return m
 
 
+@functools.lru_cache(maxsize=None)
+def _box_count(n: int, rows: int, cols: int) -> int:
+    """The number of partitions of n with at most ``rows`` rows and
+    ``cols`` columns: the q^n coefficient of the Gaussian binomial
+    [rows + cols, rows]_q = prod_{i=1..k} (1 - q^(m+i)) / (1 - q^i), with
+    k, m the smaller and larger of rows and cols (each capped at n, which
+    leaves the count unchanged), in exact integers truncated at q^n."""
+    k, m = sorted((min(rows, n), min(cols, n)))
+    c = [1] + [0] * n
+    for i in range(1, k + 1):
+        for d in range(n, m + i - 1, -1):
+            c[d] -= c[d - m - i]
+        for d in range(i, n + 1):
+            c[d] += c[d - i]
+    return c[n]
+
+
+def _whole_bytes(n: int, cut: tuple[int, int]) -> int:
+    """The bytes ``_entry_bytes`` counts for the whole size n under ``cut``,
+    before it is walked: each of its ``_box_count`` diagrams has uint8 rows
+    padded to min(rows, n), the most any of them has, a float hook log and
+    rows + 1 coordinate bits in whole bytes."""
+    rows = min(cut[0], n)
+    return _box_count(n, *cut) * (rows + 8 + (rows + 8) // 8) + _ENTRY_BYTES
+
+
 def _weigh_stratum(n: int, eng: _MeasureEngine, shifts: Sequence[int], target_bs: Sequence[int],
                    cut: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """The parts of ``_walk_stratum(n, eng.theta, shifts, target_bs, cut)``,
-    kept in ``_strata`` under all the walk reads (1/3 and the float nearest
-    it shift different columns, so they walk apart), and their z-measures."""
+    """The parts of ``_walk_stratum(n, eng.theta, shifts, target_bs, cut)``
+    and their z-measures.
+
+    Strata are kept in ``_strata`` under all the walk reads (1/3 and the
+    float nearest it shift different columns, so they walk apart).  The
+    whole size, no targets under ``cut``, is walked and kept once for
+    every target set: when ``_whole_bytes`` is at most ``_STORE_BYTES //
+    8``, a targeted stratum is read from it, as the diagrams whose
+    coordinate bits hold every target, with their rows trimmed to the
+    most any of them has.  Masking keeps the walk's order, and the hook
+    logs are per-diagram floats, so the sums are those of the targeted
+    walk, which a larger size still makes and keeps under its targets."""
     th = eng.theta
-    key = (th, tuple(shifts[:n]), tuple(sorted(target_bs)), cut)
-    parts, hooks = _strata.get(key, lambda: _walk_stratum(n, th, shifts, target_bs, cut))
+    shifts, bs = tuple(shifts[:n]), tuple(sorted(target_bs))
+    whole = not bs or _whole_bytes(n, cut) <= _STORE_BYTES // 8
+    key = (th, shifts, () if whole else bs, cut)
+    parts, hooks, bits = _strata.get(key, lambda: _walk_stratum(n, th, shifts, key[2], cut, True))
+    if whole and bs:
+        keep = np.ones(len(parts), dtype=bool)
+        for b in bs:
+            if b >> 3 < bits.shape[1]:
+                keep &= bits[:, b >> 3] & (1 << (b & 7)) != 0
+            else:  # beyond every diagram's coordinates
+                keep[:] = False
+        kept = np.flatnonzero(keep)
+        # a diagram's largest coordinate is its row count, the height of
+        # its first column (shifts[0] = 0): the top bit of them all is the width
+        top = int.from_bytes(np.bitwise_or.reduce(bits.take(kept, axis=0), axis=0).tobytes(), "little")
+        parts, hooks = parts.take(kept, axis=0)[:, :max(top.bit_length() - 1, 0)], hooks.take(kept)
     return parts, _weigh(n, eng, parts, hooks)
 
 

@@ -128,7 +128,8 @@ def check_enumeration_size(n: int) -> None:
 
 def iter_partition_tuples(n: int, max_rows: int | None = None) -> Iterator[tuple[int, ...]]:
     """Reverse-lexicographic partition generator yielding raw tuples, with
-    at most ``max_rows`` parts when that is given."""
+    at most ``max_rows`` parts when that is given.  Sizes and row counts
+    are refused when it is called, before anything is yielded."""
     check_enumeration_size(n)
     if max_rows is not None and max_rows < 0:
         raise DomainError(f"max_rows must be nonnegative, got {max_rows}")
@@ -145,7 +146,7 @@ def iter_partition_tuples(n: int, max_rows: int | None = None) -> Iterator[tuple
         for p in range(min(largest, remaining), lo - 1, -1):
             yield from rec(remaining - p, p, rows_left - 1, prefix + (p,))
 
-    yield from rec(n, n, rows, ())
+    return rec(n, n, rows, ())
 
 
 def hook_rows(parts, theta: float) -> Iterator[list[float]]:

@@ -498,3 +498,25 @@ def test_fuzzed_whittaker_degenerate_indices_keep_exit_contract(k, m, x):
     assert code in (0, 2, 3), (argv, code, err.getvalue())
     if code != 0:
         assert out.getvalue() == "", argv
+
+
+def test_csv_rows_are_written_as_they_are_formatted(monkeypatch):
+    from zmeasures import cli
+
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+
+    def rows():
+        for i in range(3):
+            # the header and every earlier row are out before row i is formed
+            assert out.getvalue().count("\n") == (i + 1 if i else 0)
+            yield {"i": i}
+
+    cli._emit(rows(), "csv", None)
+    assert out.getvalue() == "i\n0\n1\n2\n"
+
+
+@pytest.mark.parametrize("argv", ["partitions --n 101", "partitions --n -1", "partitions --n 3 --max-rows -1"])
+def test_streamed_partitions_refused_before_the_first_byte(capsys, argv):
+    assert run(argv.split()) == 2
+    assert capsys.readouterr().out == ""

@@ -3,8 +3,10 @@ import contextlib
 import functools
 import gc
 import math
+import sys
 import weakref
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -808,3 +810,73 @@ def test_store_stays_within_its_budget(cold_store, monkeypatch):
     # larger than the whole budget was never kept
     assert len(cold_store._entries) < 4 * 4 * 2 * 22
     assert _report_hex(_fresh_report([_H * 3], ZParams(0.3 + 0.7j, 0.5, 0.6), 22)) == _report_hex(first)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_walk_cases())
+@example((14, Fraction(1, 2), (), (14, 14)))
+@example((14, Fraction(1, 2), (), (14, 0)))
+@example((12, Fraction(2), (), (3, 5)))
+def test_box_count_is_the_size_of_the_whole_walk(case):
+    # the count that decides admission before the walk, and the bytes the
+    # store then counts for the walked entry
+    n, theta, _, cut = case
+    entry = measures._walk_stratum(n, float(theta), column_shifts(theta, n), (), cut, True)
+    assert measures._box_count(n, *cut) == len(entry[0])
+    assert measures._whole_bytes(n, cut) == measures._entry_bytes(entry)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_lattice_cases(), st.integers(1, 14))
+def test_stratum_read_from_its_whole_size_matches_the_targeted_walk(case, n):
+    p, X, _ = case
+    bs = tuple(int(x - _H) for x in X)
+    eng = measures._MeasureEngine(p.z, p.theta)
+    shifts = column_shifts(p.theta, n)
+    walked = []
+    real = measures._walk_stratum
+
+    def recording(n, th, shifts, target_bs, *rest):
+        walked.append(tuple(target_bs))
+        return real(n, th, shifts, target_bs, *rest)
+
+    with mock.patch.object(measures, "_walk_stratum", recording):
+        with _cold_store():
+            masked = measures._stratum_sum(n, eng, shifts, bs)
+            masked_parts = measures._weigh_stratum(n, eng, shifts, bs, eng.zero_cut(n))[0]
+        with _cold_store(), mock.patch.object(measures, "_STORE_BYTES", 0):
+            targeted = measures._stratum_sum(n, eng, shifts, bs)
+    assert walked == [(), tuple(sorted(bs))]
+    assert masked[0].hex() == targeted[0].hex()
+    assert masked[1] == targeted[1]
+    # the masked rows are trimmed to the width the targeted walk pads to
+    walked_parts = measures._walk_stratum(n, float(p.theta), shifts, bs, eng.zero_cut(n))[0]
+    assert masked_parts.shape == walked_parts.shape
+    assert (masked_parts == walked_parts).all()
+
+
+def test_each_size_is_walked_once_for_every_target_set(cold_store, monkeypatch):
+    walked = []
+    real = measures._walk_stratum
+
+    def counting(n, *args):
+        walked.append(n)
+        return real(n, *args)
+
+    monkeypatch.setattr(measures, "_walk_stratum", counting)
+    p = ZParams(0.3 + 0.7j, 0.5, 0.6)
+    lattice_correlation([_H * 3], p, 20)
+    lattice_correlation([_H * 7, _H * 11], p, 20)
+    assert walked == list(range(1, 21))
+
+
+@pytest.mark.parametrize("theta", [Fraction(1, 2), Fraction(1, 3)])
+def test_entry_bytes_cover_an_entry_up_to_size_30(cold_store, theta):
+    # the key with its theta, shifts and cut, the entry tuple and the
+    # array headers, as sys.getsizeof counts them, at every n <= 30
+    lattice_correlation([_H * 3], ZParams(0.3 + 0.7j, theta, 0.5), 30)
+    for key, entry in cold_store._entries.items():
+        size = sys.getsizeof(key) + sum(map(sys.getsizeof, key)) + sys.getsizeof(entry)
+        size += sum(sys.getsizeof(v) for v in key[1] if v > 256)
+        size += sum(sys.getsizeof(a) - a.nbytes for a in entry)
+        assert size <= measures._ENTRY_BYTES
