@@ -33,29 +33,27 @@ so sizes up to ``LATTICE_NMAX_CAP`` are evaluated correctly.
 
 A stratum's diagrams and their hook terms depend on theta, n, the
 points and the zero cut, but not on z: z enters only through the row
-Pochhammer factors and the Gamma normaliser.  So a stratum is walked
-once (``_walk_stratum``, one recursion over column heights, which hooks
-the diagrams in numpy chunks of ``_CHUNK_CELLS // n`` with
-``_hook_log``'s float operations, and packs each diagram's positive
-coordinates into bits) and kept by ``_weigh_stratum`` in ``_strata``, a
-least-recently-used store of at most ``_STORE_BYTES``.  What it keeps is
-the whole size: every diagram of n under the zero cut, with no target
-points.  Any set of points reads its stratum from that one entry, as
-the diagrams whose coordinate bits hold all the points, so each (theta,
-n, cut) is walked once for every point set.  A whole size is admitted
+Pochhammer factors and the Gamma normaliser.  So a size is walked once
+(``_walk_stratum``, one recursion over column heights, which hooks the
+diagrams in numpy chunks of ``_CHUNK_CELLS // n`` with ``_hook_log``'s
+float operations, and packs each diagram's positive coordinates into
+bits) and kept by ``_weigh_stratum`` in ``_strata``, a
+least-recently-used store of at most ``_STORE_BYTES`` that holds whole
+sizes only: every diagram of n under the zero cut, keyed by (theta,
+shifts, cut).  Any set of points reads its stratum from that one entry,
+as the diagrams whose coordinate bits hold all the points, so each
+(theta, n, cut) is walked once for every point set.  A size is kept
 when the bytes it will take, known before the walk from the exact count
-of the diagrams in its cut box (``_box_count``), are at most
-``_STORE_BYTES // 8``; a larger size falls back to walking only the
-diagrams that contain the points, kept under the points.  Each new z
-only weighs the kept diagrams, in chunks of ``_CHUNK_CELLS // rows``, so
-the float arrays stay near ``_CHUNK_CELLS`` entries whatever a stratum
-holds.  A stratum sum (``_stratum_sum``),
-the z-measure of the diagrams of one size n that contain the points,
-depends on neither xi nor n_max: xi enters only through the
-negative-binomial weights.  Each engine, keyed by the exact theta that
-``ZParams`` keeps, holds the sums it has computed
-(``_MeasureEngine.stratum_sums``), so the rungs of a xi-ladder, and any
-later call at the same (z, theta), weigh each (n, points) once.
+of its diagrams (``_box_count``), are at most ``_STORE_BYTES // 8``;
+any other stratum is walked as asked and not kept.  A new z only weighs
+a kept size's diagrams, in chunks of ``_CHUNK_CELLS // rows``, so the
+float arrays stay near ``_CHUNK_CELLS`` entries whatever a stratum
+holds.  A stratum sum (``_stratum_sum``), the z-measure of the diagrams
+of one size n that contain the points, depends on neither xi nor n_max:
+xi enters only through the negative-binomial weights.  Each engine,
+keyed by the exact theta that ``ZParams`` keeps, holds the sums it has
+computed (``_MeasureEngine.stratum_sums``), so the rungs of a xi-ladder,
+and any later call at the same (z, theta), weigh each (n, points) once.
 
 The partition combinatorics come from ``partitions``: ``_hook_log`` and
 the log-sum fallback read their hook arguments from ``hook_rows``, the
@@ -422,13 +420,12 @@ def _walk_stratum(
     shifts: Sequence[int],
     target_bs: Sequence[int],
     cut: tuple[int, int],
-    coords: bool = False,
-) -> tuple[np.ndarray, ...]:
-    """Parts (zero-padded rows, uint8) and hook logs of the partitions of n
-    with at most ``cut`` = (rows, columns) whose positive coordinates
-    contain all target points, in reverse lexicographic order of parts;
-    with ``coords``, also those coordinates, as the packed bits that
-    ``_chunk_hooks`` forms (uint8, zero-padded to the widest chunk's).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Parts (zero-padded rows, uint8), hook logs and positive coordinates
+    of the partitions of n with at most ``cut`` = (rows, columns) whose
+    positive coordinates contain all target points, in reverse
+    lexicographic order of parts.  The coordinates are the packed bits
+    that ``_chunk_hooks`` forms (uint8, zero-padded to the widest chunk's).
 
     One recursion, ``walk``, builds the column heights left to right,
     tallest first.  Column j (0-based) of height c carries the positive
@@ -441,7 +438,8 @@ def _walk_stratum(
     by columns of height 1 is one run of single cells.  The heights are
     gathered into chunks of ``_CHUNK_CELLS // n`` diagrams, each chunk is
     hooked by ``_chunk_hooks``, and the chunks are copied into one
-    array each."""
+    array each; the list of chunks is then emptied, as ``walk`` is a
+    reference cycle that would hold it until the cyclic collector runs."""
     bs = sorted(target_bs, reverse=True)
     t = len(bs)
     # need[k][j]: fewest cells that columns j, j+1, ... (0-based) must hold
@@ -507,7 +505,8 @@ def _walk_stratum(
     hooks = np.concatenate([d[1] for d in done] or [np.zeros(0)])
     # the order iter_partition_tuples yields, so that sums are bit-stable
     order = np.lexsort(parts.T[::-1])[::-1] if done else np.zeros(0, dtype=np.intp)
-    return (parts[order], hooks[order], bits[order]) if coords else (parts[order], hooks[order])
+    done.clear()
+    return parts[order], hooks[order], bits[order]
 
 
 def _stack(chunks: list[np.ndarray]) -> np.ndarray:
@@ -521,12 +520,13 @@ def _stack(chunks: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-# bytes the walked strata may hold, counting each entry's arrays and a
-# fixed overhead for its key and bookkeeping
+# bytes the kept whole sizes may hold, counting each entry's arrays and a
+# fixed overhead for its key and bookkeeping; a size is kept when it takes
+# at most an eighth of them
 _STORE_BYTES = 2 << 20
-# sys.getsizeof of an entry's key with its theta, shifts and cut tuples,
-# of its tuple of three arrays and of their headers is 664 B + 8 B per
-# shift (904 B at n = 30), and its OrderedDict slot about 80 B more
+# sys.getsizeof of an entry's key (theta, shifts, cut) with its shifts and
+# cut tuples, of its tuple of three arrays and of their headers is 616 B +
+# 8 B per shift (856 B at n = 30), and its OrderedDict slot about 80 B more
 _ENTRY_BYTES = 1024
 
 
@@ -535,11 +535,12 @@ def _entry_bytes(entry: tuple[np.ndarray, np.ndarray, np.ndarray]) -> int:
 
 
 class _StratumStore:
-    """Walked strata, least recently used first, holding at most
-    ``_STORE_BYTES``.  Each entry is (parts, hook logs, coordinate bits)
-    as ``_walk_stratum`` returns them with coordinates, and counts their
-    bytes plus ``_ENTRY_BYTES`` for its key, tuple and array headers.  A
-    stratum larger than the whole budget is returned, not kept."""
+    """Walked whole sizes under (theta, shifts, cut), least recently used
+    first, holding at most ``_STORE_BYTES``.  Each entry is (parts, hook
+    logs, coordinate bits) as ``_walk_stratum`` returns them, and counts
+    their bytes plus ``_ENTRY_BYTES`` for its key, tuple and array
+    headers.  ``_weigh_stratum`` admits only sizes far below the budget,
+    so every walk is kept."""
 
     def __init__(self):
         self.used = 0
@@ -551,13 +552,10 @@ class _StratumStore:
         if entry is not None:
             self._entries.move_to_end(key)
             return entry
-        entry = walk()
-        size = _entry_bytes(entry)
-        if size <= _STORE_BYTES:
-            self._entries[key] = entry
-            self.used += size
-            while self.used > _STORE_BYTES:
-                self.used -= _entry_bytes(self._entries.popitem(last=False)[1])
+        entry = self._entries[key] = walk()
+        self.used += _entry_bytes(entry)
+        while self.used > _STORE_BYTES:
+            self.used -= _entry_bytes(self._entries.popitem(last=False)[1])
         return entry
 
 
@@ -571,12 +569,15 @@ def _weigh(n: int, eng: _MeasureEngine, parts: np.ndarray, hooks: np.ndarray) ->
     Row Pochhammer logs (num) are gathered from ``eng.row_log_table`` and
     added row by row; a diagram with a row that reaches a zero factor
     weighs 0; the rest take exp((lgamma(n + 1) + num) - (hook log +
-    (lgamma(a + n) - lgamma(a)))), per diagram with ``math.exp``.  The
-    diagrams are weighed in chunks of ``_CHUNK_CELLS // rows``."""
-    count, rows = parts.shape
+    (lgamma(a + n) - lgamma(a)))), per diagram with ``math.exp``, in
+    chunks of ``_CHUNK_CELLS // rows``.  Columns that no diagram fills,
+    a masked stratum's share of its whole size's padding, are dropped."""
+    count = len(parts)
     m = np.zeros(count)
     if not count:
         return m
+    rows = int(np.count_nonzero(parts.any(axis=0)))
+    parts = parts[:, :rows]
     logs, zero_at = eng.row_log_table(rows, int(parts[:, 0].max()))
     offsets = np.arange(0, rows * logs.shape[1], logs.shape[1])
     top = math.lgamma(n + 1)
@@ -619,35 +620,33 @@ def _whole_bytes(n: int, cut: tuple[int, int]) -> int:
 
 def _weigh_stratum(n: int, eng: _MeasureEngine, shifts: Sequence[int], target_bs: Sequence[int],
                    cut: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """The parts of ``_walk_stratum(n, eng.theta, shifts, target_bs, cut)``
-    and their z-measures.
+    """The parts (zero-padded) of the diagrams ``_walk_stratum(n,
+    eng.theta, shifts, target_bs, cut)`` yields, and their z-measures.
 
-    Strata are kept in ``_strata`` under all the walk reads (1/3 and the
-    float nearest it shift different columns, so they walk apart).  The
-    whole size, no targets under ``cut``, is walked and kept once for
-    every target set: when ``_whole_bytes`` is at most ``_STORE_BYTES //
-    8``, a targeted stratum is read from it, as the diagrams whose
-    coordinate bits hold every target, with their rows trimmed to the
-    most any of them has.  Masking keeps the walk's order, and the hook
-    logs are per-diagram floats, so the sums are those of the targeted
-    walk, which a larger size still makes and keeps under its targets."""
+    Admission is decided before any walk.  A whole size n under ``cut``
+    that ``_whole_bytes`` puts at most ``_STORE_BYTES // 8`` is walked
+    once, with no targets, and kept in ``_strata`` under all the walk
+    reads, (theta, shifts, cut) (1/3 and the float nearest it shift
+    different columns, so they walk apart); the stratum is the diagrams
+    whose coordinate bits hold every target, in the walk's order.  Any
+    other stratum is walked as asked and not kept.  Hook logs are per
+    diagram, and a padded cell adds ``_weigh``'s logs[i, 0] = 0.0 and is
+    never at a zero factor, so the sums are those of the targeted walk."""
     th = eng.theta
     shifts, bs = tuple(shifts[:n]), tuple(sorted(target_bs))
-    whole = not bs or _whole_bytes(n, cut) <= _STORE_BYTES // 8
-    key = (th, shifts, () if whole else bs, cut)
-    parts, hooks, bits = _strata.get(key, lambda: _walk_stratum(n, th, shifts, key[2], cut, True))
-    if whole and bs:
-        keep = np.ones(len(parts), dtype=bool)
-        for b in bs:
-            if b >> 3 < bits.shape[1]:
-                keep &= bits[:, b >> 3] & (1 << (b & 7)) != 0
-            else:  # beyond every diagram's coordinates
-                keep[:] = False
-        kept = np.flatnonzero(keep)
-        # a diagram's largest coordinate is its row count, the height of
-        # its first column (shifts[0] = 0): the top bit of them all is the width
-        top = int.from_bytes(np.bitwise_or.reduce(bits.take(kept, axis=0), axis=0).tobytes(), "little")
-        parts, hooks = parts.take(kept, axis=0)[:, :max(top.bit_length() - 1, 0)], hooks.take(kept)
+    if _whole_bytes(n, cut) > _STORE_BYTES // 8:
+        parts, hooks, _ = _walk_stratum(n, th, shifts, bs, cut)
+    else:
+        parts, hooks, bits = _strata.get((th, shifts, cut), lambda: _walk_stratum(n, th, shifts, (), cut))
+        if bs:
+            keep = np.ones(len(parts), dtype=bool)
+            for b in bs:
+                if b >> 3 < bits.shape[1]:
+                    keep &= bits[:, b >> 3] & (1 << (b & 7)) != 0
+                else:  # beyond every diagram's coordinates
+                    keep[:] = False
+            kept = np.flatnonzero(keep)  # take is faster than a boolean index
+            parts, hooks = parts.take(kept, axis=0), hooks.take(kept)
     return parts, _weigh(n, eng, parts, hooks)
 
 
@@ -662,7 +661,7 @@ def _stratum_sum(
     lexicographic order of parts, and how many of them are nonzero.
     ``shifts`` is ``column_shifts`` of theta, at least n long.  The walk
     never builds a diagram with more rows or columns than
-    ``eng.zero_cut(n)`` allows, and is kept by ``_weigh_stratum``."""
+    ``eng.zero_cut(n)`` allows, and is read or walked by ``_weigh_stratum``."""
     m = _weigh_stratum(n, eng, shifts, target_bs, eng.zero_cut(n))[1].tolist()
     # the measures are >= 0, so adding a zero leaves the sum unchanged
     total = 0.0

@@ -241,7 +241,7 @@ def _stratum_terms(
     """(parts, measure) for each diagram of nonzero measure that
     ``measures._stratum_sum`` adds up, in its order: the stratum walked
     afresh under the engine's zero cut and weighed by ``_weigh``."""
-    parts, hooks = _walk_stratum(n, eng.theta, shifts, target_bs, eng.zero_cut(n))
+    parts, hooks, _ = _walk_stratum(n, eng.theta, shifts, target_bs, eng.zero_cut(n))
     m = _weigh(n, eng, parts, hooks).tolist()
     return [(tuple(int(v) for v in row if v), mv) for row, mv in zip(parts, m) if mv != 0.0]
 

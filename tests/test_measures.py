@@ -4,6 +4,7 @@ import functools
 import gc
 import math
 import sys
+import tracemalloc
 import weakref
 from fractions import Fraction
 from unittest import mock
@@ -648,19 +649,25 @@ def _walk_cases(draw):
 @example((14, Fraction(1, 2), (), (14, 0)))
 @example((13, Fraction(2), (2,), (13, 13)))
 def test_walk_stratum_yields_the_enumerated_diagrams(case):
-    # the diagrams themselves, in enumeration order, and their hook logs as
-    # _hook_log gives them, bit for bit
+    # the diagrams themselves, in enumeration order, their hook logs as
+    # _hook_log gives them, bit for bit, and the set of their positive
+    # coordinates x as bits x - 1/2, packed little-endian (at theta > 1
+    # columns may share a coordinate)
     n, theta, bs, cut = case
     th = float(theta)
-    parts, hooks = measures._walk_stratum(n, th, column_shifts(theta, n), bs, cut)
+    parts, hooks, bits = measures._walk_stratum(n, th, column_shifts(theta, n), bs, cut)
     X = {Fraction(2 * b + 1, 2) for b in bs}
-    expected = [
-        lam for lam in iter_partition_tuples(n, max_rows=cut[0])
-        if lam[0] <= cut[1] and X <= set(frobenius_coordinates(YoungDiagram(lam), theta).positives)
-    ]
-    assert parts.dtype == np.uint8
+    positives = {
+        lam: frobenius_coordinates(YoungDiagram(lam), theta).positives
+        for lam in iter_partition_tuples(n, max_rows=cut[0]) if lam[0] <= cut[1]
+    }
+    expected = [lam for lam, xs in positives.items() if X <= set(xs)]
+    assert parts.dtype == bits.dtype == np.uint8
     assert [tuple(int(v) for v in row if v) for row in parts] == expected
     assert [h.hex() for h in hooks.tolist()] == [measures._hook_log(lam, th).hex() for lam in expected]
+    assert [row.tobytes() for row in bits] == [
+        sum(1 << int(x - _H) for x in set(positives[lam])).to_bytes(bits.shape[1], "little") for lam in expected
+    ]
 
 
 def test_stratum_sum_bit_identical_across_default_chunks():
@@ -806,8 +813,8 @@ def test_store_stays_within_its_budget(cold_store, monkeypatch):
                 lattice_correlation(X, ZParams(z, theta, 0.6), 22)
                 assert cold_store.used <= measures._STORE_BYTES
                 assert cold_store.used == sum(map(measures._entry_bytes, cold_store._entries.values()))
-    # the strata of the first call left the store long ago, and a stratum
-    # larger than the whole budget was never kept
+    # the strata of the first call left the store long ago, and a size
+    # above an eighth of the budget was never kept
     assert len(cold_store._entries) < 4 * 4 * 2 * 22
     assert _report_hex(_fresh_report([_H * 3], ZParams(0.3 + 0.7j, 0.5, 0.6), 22)) == _report_hex(first)
 
@@ -821,7 +828,7 @@ def test_box_count_is_the_size_of_the_whole_walk(case):
     # the count that decides admission before the walk, and the bytes the
     # store then counts for the walked entry
     n, theta, _, cut = case
-    entry = measures._walk_stratum(n, float(theta), column_shifts(theta, n), (), cut, True)
+    entry = measures._walk_stratum(n, float(theta), column_shifts(theta, n), (), cut)
     assert measures._box_count(n, *cut) == len(entry[0])
     assert measures._whole_bytes(n, cut) == measures._entry_bytes(entry)
 
@@ -849,10 +856,12 @@ def test_stratum_read_from_its_whole_size_matches_the_targeted_walk(case, n):
     assert walked == [(), tuple(sorted(bs))]
     assert masked[0].hex() == targeted[0].hex()
     assert masked[1] == targeted[1]
-    # the masked rows are trimmed to the width the targeted walk pads to
+    # the same diagrams in the same order; the masked rows keep the whole
+    # size's zero padding
     walked_parts = measures._walk_stratum(n, float(p.theta), shifts, bs, eng.zero_cut(n))[0]
-    assert masked_parts.shape == walked_parts.shape
-    assert (masked_parts == walked_parts).all()
+    assert [[v for v in row if v] for row in masked_parts.tolist()] == [
+        [v for v in row if v] for row in walked_parts.tolist()
+    ]
 
 
 def test_each_size_is_walked_once_for_every_target_set(cold_store, monkeypatch):
@@ -868,6 +877,52 @@ def test_each_size_is_walked_once_for_every_target_set(cold_store, monkeypatch):
     lattice_correlation([_H * 3], p, 20)
     lattice_correlation([_H * 7, _H * 11], p, 20)
     assert walked == list(range(1, 21))
+
+
+def test_store_keeps_whole_sizes_only(cold_store):
+    # every entry is a whole size under (theta, shifts, cut); a table and a
+    # targeted stratum above the admission bound are walked and not kept
+    p = ZParams(0.3 + 0.7j, 0.5, 0.6)
+    lattice_correlation([_H * 3, _H * 5], p, 16)
+    measures.z_measure_table(12, p)
+    lattice_correlation([_H * 3], ZParams(1.5, Fraction(1, 3), 0.6), 16)
+    assert cold_store._entries and all(len(key) == 3 for key in cold_store._entries)
+    kept, used = list(cold_store._entries), cold_store.used
+    measures.z_measure_table(32, p)
+    eng = _engine(p.z, p.theta)
+    parts, m = measures._weigh_stratum(40, eng, column_shifts(p.theta, 40), (2,), eng.zero_cut(40))
+    assert len(parts) == len(m) > 0
+    assert list(cold_store._entries) == kept
+    assert cold_store.used == used
+
+
+def test_weigh_drops_columns_no_diagram_fills():
+    # a masked stratum keeps its whole size's padding: the floats do not
+    # depend on it, and it must not grow the engine's table
+    parts, hooks, _ = measures._walk_stratum(12, 0.5, column_shifts(Fraction(1, 2), 12), (), (12, 12))
+    few = parts[:, 3] == 0  # the diagrams of at most three rows, padded to 12
+    trimmed = measures._MeasureEngine(0.3 + 0.7j, 0.5)
+    padded = measures._MeasureEngine(0.3 + 0.7j, 0.5)
+    m = measures._weigh(12, trimmed, np.ascontiguousarray(parts[few, :3]), hooks[few])
+    assert [v.hex() for v in measures._weigh(12, padded, parts[few], hooks[few])] == [v.hex() for v in m]
+    assert padded._logs.shape == trimmed._logs.shape
+
+
+def test_walk_holds_no_more_than_it_returns():
+    # the walk's closures are a reference cycle: with the collector paused,
+    # its list of hooked chunks must not outlive the stacked arrays
+    shifts = column_shifts(Fraction(1, 2), 40)
+    measures._walk_stratum(40, 0.5, shifts, (), (40, 40))  # builds the tail tables
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        entry = measures._walk_stratum(40, 0.5, shifts, (), (40, 40))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert held <= 1.1 * sum(a.nbytes for a in entry) + (64 << 10)
 
 
 @pytest.mark.parametrize("theta", [Fraction(1, 2), Fraction(1, 3)])
