@@ -112,7 +112,8 @@ def _cmd_zmeasure(args) -> Iterator[dict]:
 def _cmd_mixed(args) -> Iterator[dict]:
     p = ZParams(args.z, args.theta, args.xi)
     check_enumeration_size(args.n)
-    sizes = [(n, negative_binomial_weight(n, p), *z_measure_table(n, p)) for n in range(1, args.n + 1)]
+    # each size is weighed when its rows are written, after every refusal
+    sizes = ((n, negative_binomial_weight(n, p), *z_measure_table(n, p)) for n in range(1, args.n + 1))
     # the weight times the measure, as mixed_z_measure forms it
     rows = (
         {"n": n, "partition": lam, "measure": repr(w * m if w else w)}

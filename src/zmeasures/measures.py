@@ -17,13 +17,14 @@ negative-binomial tail.
 
 The measure has one float recipe, ``_weigh``, which weighs diagrams of
 one size together in numpy: row Pochhammer logs from the engine's one
-table (``_MeasureEngine.row_log_table``), 0 for a diagram with a row
-that reaches a zero factor, and exp(lgamma(n + 1) + num - (hook +
-gamma)) for the rest.  It weighs whole strata: ``lattice_correlation``
-sums them in the order of a full reverse-lexicographic enumeration, and
-``z_measure_table`` returns the uncut stratum of a size n, all its
-partitions, for the CLI tables and ``spherical_restriction``.
-``z_measure`` (so ``mixed_z_measure``) weighs one diagram with it.
+table (``_MeasureEngine.row_log_table``, grown in place), 0 for a
+diagram with a row that reaches a zero factor, and exp(lgamma(n + 1) +
+num - (hook + gamma)) for the rest.  It weighs whole strata:
+``lattice_correlation`` sums them in the order of a full
+reverse-lexicographic enumeration, and ``z_measure_table`` returns the
+uncut stratum of a size n, all its partitions, for the CLI tables and
+``spherical_restriction``.  ``z_measure`` (so ``mixed_z_measure``)
+weighs one diagram with it.
 
 The hook term log H + log H' comes from ``_hook_log``, which does not
 depend on z.  It renormalises the hook products at row ends; a diagram
@@ -42,26 +43,28 @@ least-recently-used store of at most ``_STORE_BYTES`` that holds whole
 sizes only: every diagram of n under the zero cut, keyed by (theta,
 shifts, cut).  Any set of points reads its stratum from that one entry,
 as the diagrams whose coordinate bits hold all the points, so each
-(theta, n, cut) is walked once for every point set.  A size is kept
-when the bytes it will take, known before the walk from the exact count
-of its diagrams (``_box_count``), are at most ``_STORE_BYTES // 8``;
-any other stratum is walked as asked and not kept.  A new z only weighs
-a kept size's diagrams, in chunks of ``_CHUNK_CELLS // rows``, so the
-float arrays stay near ``_CHUNK_CELLS`` entries whatever a stratum
-holds.  A stratum sum (``_stratum_sum``), the z-measure of the diagrams
-of one size n that contain the points, depends on neither xi nor n_max:
-xi enters only through the negative-binomial weights.  Each engine,
-keyed by the exact theta that ``ZParams`` keeps, holds the sums it has
-computed (``_MeasureEngine.stratum_sums``), so the rungs of a xi-ladder,
-and any later call at the same (z, theta), weigh each (n, points) once.
+(theta, n, cut) is walked once for every point set.  The cut fixes the
+rows of every walk of n, min(cut rows, n), so a whole size's bytes
+(``_whole_bytes``) are exact before its walk, from the exact count of
+its diagrams (``_box_count``): it is kept when they are at most
+``_STORE_BYTES // 8``, and any other stratum is walked and not kept.
+A new z only weighs a kept size's diagrams, in chunks of
+``_CHUNK_CELLS // rows``, so the float arrays stay near
+``_CHUNK_CELLS`` entries whatever a stratum holds.  A stratum sum
+(``_stratum_sum``), the z-measure of the diagrams of one size n that
+contain the points, depends on neither xi nor n_max: xi enters only
+through the negative-binomial weights.  Each engine, keyed by the exact
+theta that ``ZParams`` keeps, holds the sums it has computed
+(``_MeasureEngine.stratum_sums``), so the rungs of a xi-ladder, and any
+later call at the same (z, theta), weigh each (n, points) once.
 
 The partition combinatorics come from ``partitions``: ``_hook_log`` and
 the log-sum fallback read their hook arguments from ``hook_rows``, the
 walk its column shifts from ``column_shifts``, and lattice points are
 checked by ``half_integer``.  The Pochhammer zeros decide which
 diagrams vanish, as ``_weigh`` reads them from the engine's row table,
-and the rows and columns a stratum's walk may use, as
-``_MeasureEngine.zero_cut`` scans the first factors for them.
+and the rows and columns a stratum's walk may use, as the engine scans
+the first factors for them once (``_MeasureEngine.zero_cut``).
 
 At theta = 1 the mixed z-measure is a Schur measure, and
 ``schur_correlation`` computes its lattice correlations exactly as a
@@ -165,50 +168,52 @@ class CorrelationReport:
 
 
 class _MeasureEngine:
-    """Per-(z, theta) row-Pochhammer table (``row_log_table``), and the
-    stratum sums ``lattice_correlation`` has computed at this (z, theta),
-    by (n, sorted target points)."""
+    """Per-(z, theta) zero cut (``zero_cut``), row-Pochhammer table
+    (``row_log_table``), and the stratum sums ``lattice_correlation`` has
+    computed at this (z, theta), by (n, sorted target points)."""
 
     def __init__(self, z: complex, theta: float | Fraction):
         self.z = complex(z)
         self.theta = float(theta)
         self.a = abs(z) ** 2 / self.theta
+        z, th, cap = self.z, self.theta, LATTICE_NMAX_CAP
+        self._cut = (next((i for i in range(cap) if abs(z - i * th) < 1e-300), cap),
+                     next((j for j in range(cap) if abs(z + j) < 1e-300), cap))
         self._logs = np.zeros((0, 1))
         self._zero = np.zeros(0, dtype=np.int64)
         self.stratum_sums: dict[tuple[int, tuple[int, ...]], tuple[float, int]] = {}
 
     def zero_cut(self, n: int) -> tuple[int, int]:
-        """(rows, cols): the most rows and columns a diagram of n cells with
-        nonzero measure can have.  A zero first factor z - i theta of row
-        i+1 kills every diagram with i+1 rows, and a zero factor z + j of
-        row 1 every diagram whose first row reaches j+1 cells.  The factors
-        are scanned directly, as the same floats under the same 1e-300 test
-        that ``row_log_table`` applies, so the cut builds no table."""
-        z, th = self.z, self.theta
-        rows = next((i for i in range(n) if abs(z - i * th) < 1e-300), n)
-        return rows, next((j for j in range(n) if abs(z + j) < 1e-300), n)
+        """(rows, cols): the most rows and columns a diagram of n <=
+        ``LATTICE_NMAX_CAP`` cells with nonzero measure can have: a zero
+        first factor z - i theta of row i+1 kills i+1 rows, a zero factor
+        z + j of row 1 a first row of j+1 cells.  The engine scans them
+        once, with the floats and the 1e-300 test of ``row_log_table``."""
+        return min(self._cut[0], n), min(self._cut[1], n)
 
     def row_log_table(self, rows: int, width: int) -> tuple[np.ndarray, np.ndarray]:
         """The table (logs, zero) for at least ``rows`` rows and lengths
-        0..``width``, grown by doubling when ``_weigh`` asks for more.
+        0..``width``, grown in place to exactly what ``_weigh`` asks for.
         ``logs[i, p]`` is 2 log |(z - i theta)_p|, row i+1's Pochhammer
         product at length p, summed in order from each factor's
-        2.0 * math.log(abs(f)) (numpy's log rounds differently).  A factor
+        2.0 * math.log(abs(f)) (numpy's log rounds differently); growing
+        carries a row's sum on from its last value, so each entry is
+        computed once, as the float one pass over the row gives.  A factor
         below 1e-300 is zero: from it on the row holds -inf, and ``zero[i]``
         is its index + 1 (2^60 where the row has none)."""
         have_rows, have_width = self._logs.shape[0], self._logs.shape[1] - 1
         if have_rows < rows or have_width < width:
-            rows = have_rows if rows <= have_rows else max(rows, 2 * have_rows)
-            width = have_width if width <= have_width else max(width, 2 * have_width)
-            self._logs = np.zeros((rows, width + 1))
-            self._zero = np.full(rows, 1 << 60, dtype=np.int64)
-            for i in range(rows):
-                base = self.z - i * self.theta
-                terms = [2.0 * math.log(m) if (m := abs(base + j)) >= 1e-300 else -math.inf
-                         for j in range(width)]
-                self._logs[i, 1:] = np.add.accumulate(terms)
-                if -math.inf in terms:
-                    self._zero[i] = terms.index(-math.inf) + 1
+            rows, width = max(rows, have_rows), max(width, have_width)
+            logs, zero = np.zeros((rows, width + 1)), np.full(rows, 1 << 60, dtype=np.int64)
+            logs[:have_rows, :have_width + 1], zero[:have_rows] = self._logs, self._zero
+            for i in range(have_rows if width == have_width else 0, rows):  # the rows that grow
+                start, base = (have_width if i < have_rows else 0), self.z - i * self.theta
+                terms = [float(logs[i, start])] + [2.0 * math.log(m) if (m := abs(base + j)) >= 1e-300
+                                                   else -math.inf for j in range(start, width)]
+                logs[i, start:] = np.add.accumulate(terms)
+                if zero[i] >> 60 and -math.inf in terms:  # a new first zero
+                    zero[i] = start + terms.index(-math.inf)
+            self._logs, self._zero = logs, zero
         return self._logs, self._zero
 
 
@@ -247,8 +252,8 @@ def _hook_log_sum(parts: Sequence[int], th: float) -> float:
     )
 
 
-# two entries: callers loop over diagrams at one (z, theta), or at one and
-# its dual (-z/theta, 1/theta) when they check the duality of the measure
+# two entries: callers loop over diagrams at one (z, theta), and the tests
+# at one and its dual (-z/theta, 1/theta) when they check the duality
 _engine = functools.lru_cache(maxsize=2)(_MeasureEngine)
 
 
@@ -351,10 +356,10 @@ def _tail_table(cells: int) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
 _CHUNK_CELLS = 4096
 
 
-def _chunk_hooks(n: int, th: float, shifts: np.ndarray, heights: list[int], widths: list[int]):
-    """Parts (zero-padded rows), hook logs and positive coordinates of the
-    partitions of n whose column heights are ``heights``, diagram after
-    diagram, with ``widths`` columns each.
+def _chunk_hooks(n: int, th: float, shifts: np.ndarray, heights: list[int], widths: list[int], rows: int):
+    """Parts (uint8 rows zero-padded to ``rows``), hook logs and positive
+    coordinates of the partitions of n whose column heights are
+    ``heights``, diagram after diagram, with ``widths`` columns each.
 
     The hook logs are the floats ``_hook_log`` returns: the same float
     operations in the same order, run across the diagrams at once.  The
@@ -372,7 +377,6 @@ def _chunk_hooks(n: int, th: float, shifts: np.ndarray, heights: list[int], widt
     count = len(widths)
     cols = np.fromiter(heights, np.int64, len(heights))
     width = np.array(widths)
-    rows = int(cols.max())
     first_col = np.cumsum(width) - width
     # each column's diagram d owns slots d * (rows + 1) .. d * (rows + 1) + rows
     slot = np.repeat(np.arange(0, count * (rows + 1), rows + 1), width)
@@ -421,11 +425,12 @@ def _walk_stratum(
     target_bs: Sequence[int],
     cut: tuple[int, int],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Parts (zero-padded rows, uint8), hook logs and positive coordinates
-    of the partitions of n with at most ``cut`` = (rows, columns) whose
-    positive coordinates contain all target points, in reverse
-    lexicographic order of parts.  The coordinates are the packed bits
-    that ``_chunk_hooks`` forms (uint8, zero-padded to the widest chunk's).
+    """Parts, hook logs and positive coordinates of the partitions of n
+    with at most ``cut`` = (rows, columns) whose positive coordinates
+    contain all target points, in reverse lexicographic order of parts.
+    Every walk, empty or not, has rows = min(cut[0], n): uint8 parts
+    zero-padded to rows, and the (rows + 8) // 8 bytes of packed
+    coordinate bits that ``_chunk_hooks`` forms.
 
     One recursion, ``walk``, builds the column heights left to right,
     tallest first.  Column j (0-based) of height c carries the positive
@@ -437,9 +442,10 @@ def _walk_stratum(
     at most ``_TAIL_CELLS`` cells are read from a table, and a completion
     by columns of height 1 is one run of single cells.  The heights are
     gathered into chunks of ``_CHUNK_CELLS // n`` diagrams, each chunk is
-    hooked by ``_chunk_hooks``, and the chunks are copied into one
-    array each; the list of chunks is then emptied, as ``walk`` is a
-    reference cycle that would hold it until the cyclic collector runs."""
+    hooked by ``_chunk_hooks`` at the walk's one row count, and the
+    chunks are concatenated into one array each; the list of chunks is
+    then emptied, as ``walk`` is a reference cycle that would hold it
+    until the cyclic collector runs."""
     bs = sorted(target_bs, reverse=True)
     t = len(bs)
     # need[k][j]: fewest cells that columns j, j+1, ... (0-based) must hold
@@ -453,6 +459,7 @@ def _walk_stratum(
         for j in range(n):
             row[j] = least + shifts[j] + later[j + 1]
     chunk = max(1, _CHUNK_CELLS // n)
+    rows = min(cut[0], n)
     shift = np.array(shifts[:n], dtype=np.int64)
     cols: list[int] = []
     heights: list[int] = []
@@ -465,7 +472,7 @@ def _walk_stratum(
             heights.extend(tail)
             widths.append(len(cols) + len(tail))
             if len(widths) == chunk:
-                done.append(_chunk_hooks(n, th, shift, heights, widths))
+                done.append(_chunk_hooks(n, th, shift, heights, widths, rows))
                 heights.clear()
                 widths.clear()
 
@@ -500,24 +507,13 @@ def _walk_stratum(
 
     walk(n, *cut, 0)
     if widths:
-        done.append(_chunk_hooks(n, th, shift, heights, widths))
-    parts, bits = (_stack([d[i] for d in done]) for i in (0, 2))
-    hooks = np.concatenate([d[1] for d in done] or [np.zeros(0)])
+        done.append(_chunk_hooks(n, th, shift, heights, widths, rows))
+    empty = (np.zeros((0, rows), np.uint8), np.zeros(0), np.zeros((0, (rows + 8) // 8), np.uint8))
+    parts, hooks, bits = (np.concatenate([d[i] for d in done] or [empty[i]]) for i in range(3))
+    done.clear()  # before the sort, whose keys and copies would sit on top of the chunks
     # the order iter_partition_tuples yields, so that sums are bit-stable
-    order = np.lexsort(parts.T[::-1])[::-1] if done else np.zeros(0, dtype=np.intp)
-    done.clear()
+    order = np.lexsort(parts.T[::-1])[::-1] if len(parts) else np.zeros(0, dtype=np.intp)
     return parts[order], hooks[order], bits[order]
-
-
-def _stack(chunks: list[np.ndarray]) -> np.ndarray:
-    """The uint8 rows of ``chunks`` one under another, zero-padded to the
-    widest."""
-    out = np.zeros((sum(map(len, chunks)), max((c.shape[1] for c in chunks), default=0)), dtype=np.uint8)
-    lo = 0
-    for c in chunks:
-        out[lo:lo + len(c), :c.shape[1]] = c
-        lo += len(c)
-    return out
 
 
 # bytes the kept whole sizes may hold, counting each entry's arrays and a
@@ -530,32 +526,29 @@ _STORE_BYTES = 2 << 20
 _ENTRY_BYTES = 1024
 
 
-def _entry_bytes(entry: tuple[np.ndarray, np.ndarray, np.ndarray]) -> int:
-    return sum(a.nbytes for a in entry) + _ENTRY_BYTES
-
-
 class _StratumStore:
     """Walked whole sizes under (theta, shifts, cut), least recently used
     first, holding at most ``_STORE_BYTES``.  Each entry is (parts, hook
-    logs, coordinate bits) as ``_walk_stratum`` returns them, and counts
-    their bytes plus ``_ENTRY_BYTES`` for its key, tuple and array
-    headers.  ``_weigh_stratum`` admits only sizes far below the budget,
-    so every walk is kept."""
+    logs, coordinate bits) as ``_walk_stratum`` returns them, counted as
+    the ``_whole_bytes`` that admitted it.  ``_weigh_stratum`` admits only
+    sizes far below the budget, so every walk is kept."""
 
     def __init__(self):
         self.used = 0
         self._entries: OrderedDict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = OrderedDict()
+        self._bytes: dict[tuple, int] = {}
 
-    def get(self, key: tuple, walk) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The entry under ``key``, from ``walk()`` when it is not kept."""
+    def get(self, key: tuple, nbytes: int, walk) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The entry under ``key``, from ``walk()`` counted as ``nbytes`` if not kept."""
         entry = self._entries.get(key)
         if entry is not None:
             self._entries.move_to_end(key)
             return entry
         entry = self._entries[key] = walk()
-        self.used += _entry_bytes(entry)
+        self.used += nbytes
+        self._bytes[key] = nbytes
         while self.used > _STORE_BYTES:
-            self.used -= _entry_bytes(self._entries.popitem(last=False)[1])
+            self.used -= self._bytes.pop(self._entries.popitem(last=False)[0])
         return entry
 
 
@@ -571,7 +564,7 @@ def _weigh(n: int, eng: _MeasureEngine, parts: np.ndarray, hooks: np.ndarray) ->
     weighs 0; the rest take exp((lgamma(n + 1) + num) - (hook log +
     (lgamma(a + n) - lgamma(a)))), per diagram with ``math.exp``, in
     chunks of ``_CHUNK_CELLS // rows``.  Columns that no diagram fills,
-    a masked stratum's share of its whole size's padding, are dropped."""
+    the padding to the walk's rows that a stratum does not use, are dropped."""
     count = len(parts)
     m = np.zeros(count)
     if not count:
@@ -610,10 +603,10 @@ def _box_count(n: int, rows: int, cols: int) -> int:
 
 
 def _whole_bytes(n: int, cut: tuple[int, int]) -> int:
-    """The bytes ``_entry_bytes`` counts for the whole size n under ``cut``,
-    before it is walked: each of its ``_box_count`` diagrams has uint8 rows
-    padded to min(rows, n), the most any of them has, a float hook log and
-    rows + 1 coordinate bits in whole bytes."""
+    """The bytes of the whole size n under ``cut``, before it is walked,
+    exact by construction: each of its ``_box_count`` diagrams has the
+    walk's min(cut[0], n) uint8 rows, a float hook log and (rows + 8) // 8
+    bytes of coordinate bits; the entry adds ``_ENTRY_BYTES``."""
     rows = min(cut[0], n)
     return _box_count(n, *cut) * (rows + 8 + (rows + 8) // 8) + _ENTRY_BYTES
 
@@ -634,10 +627,11 @@ def _weigh_stratum(n: int, eng: _MeasureEngine, shifts: Sequence[int], target_bs
     never at a zero factor, so the sums are those of the targeted walk."""
     th = eng.theta
     shifts, bs = tuple(shifts[:n]), tuple(sorted(target_bs))
-    if _whole_bytes(n, cut) > _STORE_BYTES // 8:
+    nbytes = _whole_bytes(n, cut)
+    if nbytes > _STORE_BYTES // 8:
         parts, hooks, _ = _walk_stratum(n, th, shifts, bs, cut)
     else:
-        parts, hooks, bits = _strata.get((th, shifts, cut), lambda: _walk_stratum(n, th, shifts, (), cut))
+        parts, hooks, bits = _strata.get((th, shifts, cut), nbytes, lambda: _walk_stratum(n, th, shifts, (), cut))
         if bs:
             keep = np.ones(len(parts), dtype=bool)
             for b in bs:
@@ -662,12 +656,9 @@ def _stratum_sum(
     ``shifts`` is ``column_shifts`` of theta, at least n long.  The walk
     never builds a diagram with more rows or columns than
     ``eng.zero_cut(n)`` allows, and is read or walked by ``_weigh_stratum``."""
-    m = _weigh_stratum(n, eng, shifts, target_bs, eng.zero_cut(n))[1].tolist()
-    # the measures are >= 0, so adding a zero leaves the sum unchanged
-    total = 0.0
-    for v in m:
-        total += v
-    return total, len(m) - m.count(0.0)
+    m = _weigh_stratum(n, eng, shifts, target_bs, eng.zero_cut(n))[1]
+    # accumulate adds in order, from 0.0, as a loop over m would
+    return float(np.add.accumulate(np.r_[0.0, m])[-1]), int(np.count_nonzero(m))
 
 
 def z_measure_table(n: int, p: ZParams) -> tuple[np.ndarray, np.ndarray]:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from zmeasures.cli import build_parser, run
+from zmeasures.partitions import iter_partition_tuples
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -520,3 +521,24 @@ def test_csv_rows_are_written_as_they_are_formatted(monkeypatch):
 def test_streamed_partitions_refused_before_the_first_byte(capsys, argv):
     assert run(argv.split()) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_mixed_weighs_each_size_after_the_rows_before_it(monkeypatch):
+    # the table streams size by size: when size n is weighed, the header,
+    # the n = 0 row and every row of the sizes below n are written
+    from zmeasures import cli
+
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    real = cli.z_measure_table
+    written = []
+
+    def spy(n, p):
+        written.append((n, out.getvalue().count("\n")))
+        return real(n, p)
+
+    monkeypatch.setattr(cli, "z_measure_table", spy)
+    assert run(["mixed", "--z", "1.5,0", "--xi", "0.5", "--n", "6"]) == 0
+    rows = [sum(1 for _ in iter_partition_tuples(k)) for k in range(1, 7)]
+    assert written == [(n, 2 + sum(rows[:n - 1])) for n in range(1, 7)]
+    assert out.getvalue() == (ROOT / "tests" / "golden" / "mixed_z1.5_0_xi0.5_n6.csv").read_text()

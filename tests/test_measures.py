@@ -599,6 +599,43 @@ def test_zero_cut_matches_direct_scan(z, theta):
         ), n
 
 
+@pytest.mark.parametrize("z, theta, cut", [(60.0, 0.5, (120, 200)), (-150.0, 1.0, (200, 150))])
+def test_zero_cut_finds_zeros_beyond_forty(z, theta, cut):
+    # z = 60 at theta = 1/2 zeroes row 121, z = -150 the 151st cell of row
+    # 1; a = 22500 at -150 is beyond what ZParams accepts, so the engines
+    # are built directly, and every size to the cap is checked against the
+    # factors
+    eng = measures._MeasureEngine(z, theta)
+    for n in range(1, measures.LATTICE_NMAX_CAP + 1):
+        rows = next((i for i in range(1, n + 1) if abs(z - (i - 1) * theta) < 1e-300), n + 1) - 1
+        cols = next((j for j in range(1, n + 1) if abs(z + (j - 1)) < 1e-300), n + 1) - 1
+        assert eng.zero_cut(n) == (rows, cols), n
+    assert eng.zero_cut(measures.LATTICE_NMAX_CAP) == cut
+
+
+# (rows, width) asked in turn: rows, width and both extended, a smaller
+# ask between larger ones, and widths extended past a row's zero factor
+_TABLE_STEPS = [(1, 2), (3, 1), (3, 5), (6, 4), (2, 9), (8, 12)]
+
+
+@pytest.mark.parametrize("z, theta", [(0.3 + 0.7j, 0.5), (1.5, 0.5), (-2.0, 1.0), (-1.5 + 0.2j, 1 / 3)])
+def test_row_table_grown_in_steps_matches_one_asked_once(z, theta):
+    # z = 1.5 at theta = 1/2 zeroes row 4 at its first factor and rows 6
+    # and 8 further in; z = -2 at theta = 1 zeroes row 1 at its third
+    # factor, which the width first reaches in a later step
+    grown = measures._MeasureEngine(z, theta)
+    for k, (rows, width) in enumerate(_TABLE_STEPS, 1):
+        logs, _ = grown.row_log_table(rows, width)
+        # exactly the most rows and width asked so far
+        asked = _TABLE_STEPS[:k]
+        assert logs.shape == (max(r for r, _ in asked), max(w for _, w in asked) + 1)
+    logs, zero = grown.row_log_table(*_TABLE_STEPS[-1])
+    once_logs, once_zero = measures._MeasureEngine(z, theta).row_log_table(*_TABLE_STEPS[-1])
+    assert logs.shape == once_logs.shape == (8, 13)
+    assert [v.hex() for v in logs.ravel().tolist()] == [v.hex() for v in once_logs.ravel().tolist()]
+    assert zero.tolist() == once_zero.tolist()
+
+
 @settings(max_examples=60, deadline=None)
 @given(_lattice_cases(), st.integers(1, 14), st.integers(1, 8))
 def test_stratum_sum_bit_identical(case, n, per_chunk):
@@ -804,6 +841,12 @@ def test_store_keeps_exact_theta_apart(cold_store):
     assert _report_hex(rounded) == _report_hex(alone)
 
 
+def _held_bytes(entry) -> int:
+    """The bytes of a walked entry's arrays, plus the fixed overhead the
+    store counts for its key and bookkeeping."""
+    return sum(a.nbytes for a in entry) + measures._ENTRY_BYTES
+
+
 def test_store_stays_within_its_budget(cold_store, monkeypatch):
     monkeypatch.setattr(measures, "_STORE_BYTES", 48 << 10)
     first = _fresh_report([_H * 3], ZParams(0.3 + 0.7j, 0.5, 0.6), 22)
@@ -812,7 +855,7 @@ def test_store_stays_within_its_budget(cold_store, monkeypatch):
             for theta in (Fraction(1, 2), Fraction(1, 3)):
                 lattice_correlation(X, ZParams(z, theta, 0.6), 22)
                 assert cold_store.used <= measures._STORE_BYTES
-                assert cold_store.used == sum(map(measures._entry_bytes, cold_store._entries.values()))
+                assert cold_store.used == sum(map(_held_bytes, cold_store._entries.values()))
     # the strata of the first call left the store long ago, and a size
     # above an eighth of the budget was never kept
     assert len(cold_store._entries) < 4 * 4 * 2 * 22
@@ -830,7 +873,26 @@ def test_box_count_is_the_size_of_the_whole_walk(case):
     n, theta, _, cut = case
     entry = measures._walk_stratum(n, float(theta), column_shifts(theta, n), (), cut)
     assert measures._box_count(n, *cut) == len(entry[0])
-    assert measures._whole_bytes(n, cut) == measures._entry_bytes(entry)
+    assert measures._whole_bytes(n, cut) == _held_bytes(entry)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_walk_cases())
+# cut rows 0, whole and targeted; targeted walks whose diagrams need not
+# fill n rows; and a cut above n
+@example((9, Fraction(1, 2), (), (0, 9)))
+@example((9, Fraction(1, 2), (3,), (0, 9)))
+@example((14, Fraction(1, 2), (5,), (14, 14)))
+@example((12, Fraction(1, 3), (2,), (12, 12)))
+@example((6, Fraction(1, 2), (), (10, 10)))
+def test_every_walk_has_the_cut_row_count(case):
+    # targeted or whole, empty or not: min(cut[0], n) rows of parts and
+    # the (rows + 8) // 8 bytes that rows + 1 coordinate bits take
+    n, theta, bs, cut = case
+    parts, hooks, bits = measures._walk_stratum(n, float(theta), column_shifts(theta, n), bs, cut)
+    rows = min(cut[0], n)
+    assert parts.shape == (len(hooks), rows)
+    assert bits.shape == (len(hooks), (rows + 8) // 8)
 
 
 @settings(max_examples=60, deadline=None)
