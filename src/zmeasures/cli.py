@@ -28,6 +28,7 @@ from .gelfand import (
 from .kernels import KernelParams, matrix_kernel, scalar_whittaker_kernel
 from .measures import (
     ZParams,
+    check_table_size,
     lattice_correlation,
     negative_binomial_weight,
     z_measure_table,
@@ -37,7 +38,6 @@ from .partitions import (
     HALF,
     YoungDiagram,
     _as_fraction,
-    check_enumeration_size,
     frobenius_coordinates,
     half_integer,
     iter_partition_tuples,
@@ -111,7 +111,7 @@ def _cmd_zmeasure(args) -> Iterator[dict]:
 
 def _cmd_mixed(args) -> Iterator[dict]:
     p = ZParams(args.z, args.theta, args.xi)
-    check_enumeration_size(args.n)
+    check_table_size(args.n)  # the largest size, before the first row
     # each size is weighed when its rows are written, after every refusal
     sizes = ((n, negative_binomial_weight(n, p), *z_measure_table(n, p)) for n in range(1, args.n + 1))
     # the weight times the measure, as mixed_z_measure forms it

@@ -17,14 +17,15 @@ negative-binomial tail.
 
 The measure has one float recipe, ``_weigh``, which weighs diagrams of
 one size together in numpy: row Pochhammer logs from the engine's one
-table (``_MeasureEngine.row_log_table``, grown in place), 0 for a
-diagram with a row that reaches a zero factor, and exp(lgamma(n + 1) +
-num - (hook + gamma)) for the rest.  It weighs whole strata:
-``lattice_correlation`` sums them in the order of a full
-reverse-lexicographic enumeration, and ``z_measure_table`` returns the
-uncut stratum of a size n, all its partitions, for the CLI tables and
-``spherical_restriction``.  ``z_measure`` (so ``mixed_z_measure``)
-weighs one diagram with it.
+table (``_MeasureEngine.row_log_table``, grown in place), added in row
+order across the diagrams of a chunk, 0 for a diagram with a row that reaches
+a zero factor, and exp(lgamma(n + 1) + num - (hook + gamma)) for the
+rest.  It weighs whole strata: ``lattice_correlation`` sums them in the
+order of a full reverse-lexicographic enumeration, and
+``z_measure_table`` returns the uncut stratum of a size n, all its
+partitions, for the CLI tables and ``spherical_restriction``, refusing a
+size of more than ``TABLE_DIAGRAM_CAP`` partitions before its walk.
+``z_measure`` (so ``mixed_z_measure``) weighs one diagram with it.
 
 The hook term log H + log H' comes from ``_hook_log``, which does not
 depend on z.  It renormalises the hook products at row ends; a diagram
@@ -48,9 +49,9 @@ rows of every walk of n, min(cut rows, n), so a whole size's bytes
 (``_whole_bytes``) are exact before its walk, from the exact count of
 its diagrams (``_box_count``): it is kept when they are at most
 ``_STORE_BYTES // 8``, and any other stratum is walked and not kept.
-A new z only weighs a kept size's diagrams, in chunks of
-``_CHUNK_CELLS // rows``, so the float arrays stay near
-``_CHUNK_CELLS`` entries whatever a stratum holds.  A stratum sum
+A new z only weighs a kept size's diagrams, row by row over chunks of
+``_CHUNK_CELLS`` diagrams, so the float arrays stay near
+``_CHUNK_CELLS`` entries a row whatever a stratum holds.  A stratum sum
 (``_stratum_sum``), the z-measure of the diagrams of one size n that
 contain the points, depends on neither xi nor n_max: xi enters only
 through the negative-binomial weights.  Each engine, keyed by the exact
@@ -103,6 +104,11 @@ from .partitions import (
 )
 
 LATTICE_NMAX_CAP = 200
+
+# the most diagrams one table of a whole size n may hold (``z_measure_table``,
+# so the CLI tables): p(60) = 966,467 is walked and weighed in about 13 s,
+# while p(100) = 190,569,292 would take about 19 GB of uint8 parts alone
+TABLE_DIAGRAM_CAP = 1_000_000
 
 # The largest a = |z|^2/theta accepted.  The normaliser lgamma(a + n) -
 # lgamma(a) cancels as a grows: the worst |sum_{|lam|=n} M - 1| over
@@ -349,11 +355,17 @@ def _tail_table(cells: int) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
     return tails, start
 
 
-# cells whose float arrays are evaluated together: a stratum of size n is
-# walked in chunks of _CHUNK_CELLS // n diagrams, and its diagrams of at most
-# r rows are weighed in chunks of _CHUNK_CELLS // r, so the arrays of a chunk
-# stay near _CHUNK_CELLS entries whatever the stratum holds
+# entries whose float arrays are evaluated together: a stratum of size n is
+# walked in chunks of _CHUNK_CELLS // n diagrams, n cells each, and weighed
+# row by row over chunks of _CHUNK_CELLS diagrams, so the arrays of a chunk
+# stay near _CHUNK_CELLS entries (a row) whatever the stratum holds
 _CHUNK_CELLS = 4096
+# diagrams below which a chunk's row sums are one np.add.accumulate down its
+# rows: there its inner loops over few rows cost less than an add per row
+# (one diagram of 16 cells: 14 against 20 us a _weigh call), and above it
+# more (4,096 diagrams of 30 rows: 0.64 ms for the accumulate alone, 0.37 ms
+# for the row adds with their gathers)
+_ACCUMULATE_BELOW = 256
 
 
 def _chunk_hooks(n: int, th: float, shifts: np.ndarray, heights: list[int], widths: list[int], rows: int):
@@ -559,29 +571,50 @@ def _weigh(n: int, eng: _MeasureEngine, parts: np.ndarray, hooks: np.ndarray) ->
     """The z-measures under ``eng`` of the partitions of n with rows
     ``parts`` (zero-padded, any integer dtype) and hook logs ``hooks``.
 
-    Row Pochhammer logs (num) are gathered from ``eng.row_log_table`` and
-    added row by row; a diagram with a row that reaches a zero factor
-    weighs 0; the rest take exp((lgamma(n + 1) + num) - (hook log +
-    (lgamma(a + n) - lgamma(a)))), per diagram with ``math.exp``, in
-    chunks of ``_CHUNK_CELLS // rows``.  Columns that no diagram fills,
-    the padding to the walk's rows that a stratum does not use, are dropped."""
+    Over chunks of ``_CHUNK_CELLS`` diagrams, each diagram's row
+    Pochhammer logs (num) are gathered from ``eng.row_log_table`` and
+    added in row order, ((l0 + l1) + l2) + ...; a padded cell adds
+    logs[i, 0] = 0.0, which leaves every sum as it is.  A chunk of fewer
+    than ``_ACCUMULATE_BELOW`` diagrams adds its rows with one sequential
+    ``np.add.accumulate`` down the rows; a larger one a row at a time,
+    num = logs[0][parts[:, 0]], then num += logs[i][parts[:, i]], as the
+    accumulate's inner loop over few rows costs more than one add per
+    row there.  A chunk's columns that none of its diagrams fills, found
+    by bisection (filled columns are a prefix), are not visited and do
+    not grow the table.  A diagram with a row that reaches a zero factor
+    weighs 0; the test is run only when a zero lies within the stratum's
+    first part.  The rest take exp((lgamma(n + 1) + num) - (hook log +
+    (lgamma(a + n) - lgamma(a)))), per diagram with ``math.exp``, whose
+    rounding numpy's exp does not share."""
     count = len(parts)
     m = np.zeros(count)
     if not count:
         return m
-    rows = int(np.count_nonzero(parts.any(axis=0)))
-    parts = parts[:, :rows]
-    logs, zero_at = eng.row_log_table(rows, int(parts[:, 0].max()))
-    offsets = np.arange(0, rows * logs.shape[1], logs.shape[1])
+    width = int(parts[:, 0].max())
     top = math.lgamma(n + 1)
     gamma = math.lgamma(eng.a + n) - math.lgamma(eng.a)
-    step = max(1, _CHUNK_CELLS // rows)
-    for lo in range(0, count, step):
-        chunk = parts[lo:lo + step]
-        live = ~(chunk >= zero_at[:rows]).any(axis=1)
-        num = np.add.accumulate(np.take(logs, chunk[live] + offsets), axis=1)[:, -1]
-        logden = hooks[lo:lo + step][live] + gamma
-        m[lo:lo + step][live] = list(map(math.exp, ((top + num) - logden).tolist()))
+    for lo in range(0, count, _CHUNK_CELLS):
+        chunk = parts[lo:lo + _CHUNK_CELLS]
+        # the chunk's filled columns are a prefix: all of them, as in an
+        # unpadded diagram, or a bisection for their count
+        rows = hi = chunk.shape[1]
+        if not np.count_nonzero(chunk[:, -1]):
+            rows = 1
+            while rows < hi:
+                mid = (rows + hi) // 2
+                rows, hi = (mid + 1, hi) if np.count_nonzero(chunk[:, mid]) else (rows, mid)
+        logs, zero_at = eng.row_log_table(rows, width)
+        if len(chunk) < _ACCUMULATE_BELOW:
+            num = np.add.accumulate(logs[np.arange(rows)[:, None], chunk[:, :rows].T], axis=0)[-1]
+        else:
+            num = logs[0].take(chunk[:, 0].astype(np.intp))
+            for i in range(1, rows):
+                num += logs[i].take(chunk[:, i].astype(np.intp))
+        logm = (top + num) - (hooks[lo:lo + _CHUNK_CELLS] + gamma)
+        live = slice(None)
+        if np.count_nonzero(zero_at[:rows] <= width):  # some row may reach a zero factor
+            live = ~(chunk[:, :rows] >= zero_at[:rows]).any(axis=1)
+        m[lo:lo + _CHUNK_CELLS][live] = np.fromiter(map(math.exp, logm[live].tolist()), float)
     return m
 
 
@@ -657,17 +690,31 @@ def _stratum_sum(
     never builds a diagram with more rows or columns than
     ``eng.zero_cut(n)`` allows, and is read or walked by ``_weigh_stratum``."""
     m = _weigh_stratum(n, eng, shifts, target_bs, eng.zero_cut(n))[1]
-    # accumulate adds in order, from 0.0, as a loop over m would
-    return float(np.add.accumulate(np.r_[0.0, m])[-1]), int(np.count_nonzero(m))
+    # accumulate adds in order, as a loop over m from 0.0 would: every
+    # weight is >= 0, so 0.0 + m[0] is m[0]
+    return float(np.add.accumulate(m)[-1]) if len(m) else 0.0, int(np.count_nonzero(m))
+
+
+def check_table_size(n: int) -> None:
+    """Refuse a table of the partitions of n before anything is walked:
+    ``check_enumeration_size`` first, then ResourceCapError when the table
+    would hold more than ``TABLE_DIAGRAM_CAP`` diagrams."""
+    check_enumeration_size(n)
+    count = _box_count(n, n, n)
+    if count > TABLE_DIAGRAM_CAP:
+        raise ResourceCapError(
+            f"a table of the partitions of {n} holds {count} diagrams, capped at {TABLE_DIAGRAM_CAP}"
+        )
 
 
 def z_measure_table(n: int, p: ZParams) -> tuple[np.ndarray, np.ndarray]:
     """The partitions of n >= 1, zero-padded uint8 rows in the order of
     ``iter_partition_tuples``, and their z-measures, the floats of
-    ``z_measure``: the uncut stratum, walked and weighed once."""
+    ``z_measure``: the uncut stratum, walked and weighed once.  Sizes
+    are refused by ``check_table_size`` before the walk."""
     if n == 0:
         raise DomainError("z-measure requires |lam| >= 1")
-    check_enumeration_size(n)
+    check_table_size(n)
     return _weigh_stratum(n, _engine(p.z, p.theta), column_shifts(p.theta, n), (), (n, n))
 
 
@@ -686,8 +733,9 @@ def lattice_correlation(
     Pochhammer zero kills are never built, every size up to
     ``LATTICE_NMAX_CAP`` counts, and a size already summed at this (z,
     theta), at any xi, n_max or order of X, is read back with the same
-    float.  ``terms_summed`` counts the diagrams with nonzero measure that
-    contain X.  The point 1/2 is no positive coordinate of any diagram, so
+    float.  The engine's row table is grown once, to the zero cut of
+    n_max, before the first size is weighed.  ``terms_summed`` counts the
+    diagrams with nonzero measure that contain X.  The point 1/2 is no positive coordinate of any diagram, so
     an X holding it returns 0 without a walk.  ``n_max`` must be an
     integer (ParameterError otherwise) in [0, ``LATTICE_NMAX_CAP``]
     (ResourceCapError).
@@ -698,6 +746,7 @@ def lattice_correlation(
     if 0 in target_bs:
         return CorrelationReport(value=0.0, truncation_bound=bound, n_max_used=n_max, terms_summed=0)
     eng = _engine(p.z, p.theta)
+    eng.row_log_table(*eng.zero_cut(n_max))
     shifts = column_shifts(p.theta, n_max)
 
     value = 0.0

@@ -246,6 +246,27 @@ def _stratum_terms(
     return [(tuple(int(v) for v in row if v), mv) for row, mv in zip(parts, m) if mv != 0.0]
 
 
+def weigh_padded(n: int, eng: _MeasureEngine, parts: np.ndarray, hooks: np.ndarray) -> np.ndarray:
+    """The z-measures ``measures._weigh`` returns, by the recipe it
+    replaced: the filled columns of ``parts`` offset into one padded
+    (count x rows) index of the engine's row table, the gathered logs
+    summed by ``np.add.accumulate`` along each diagram, 0 for a diagram
+    with a row at a zero factor and ``math.exp`` for the rest."""
+    count = len(parts)
+    m = np.zeros(count)
+    if not count:
+        return m
+    rows = int(np.count_nonzero(parts.any(axis=0)))
+    parts = parts[:, :rows]
+    logs, zero_at = eng.row_log_table(rows, int(parts[:, 0].max()))
+    offsets = np.arange(0, rows * logs.shape[1], logs.shape[1])
+    live = ~(parts >= zero_at[:rows]).any(axis=1)
+    num = np.add.accumulate(np.take(logs, parts[live] + offsets), axis=1)[:, -1]
+    logden = hooks[live] + (math.lgamma(eng.a + n) - math.lgamma(eng.a))
+    m[live] = list(map(math.exp, ((math.lgamma(n + 1) + num) - logden).tolist()))
+    return m
+
+
 def z_measure_symmetry_check(lam: YoungDiagram, p: ZParams) -> tuple[float, float]:
     """Both sides of M_{z,theta}(lam) = M_{-z/theta, 1/theta}(lam')."""
     lhs = z_measure(lam, p)

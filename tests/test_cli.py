@@ -137,6 +137,10 @@ def test_table_golden(capsys, argv, golden):
         ("zmeasure --z 1,0 --n 101", "partition enumeration capped at n <= 100, got 101"),
         ("mixed --z 1,0 --xi 0.5 --n -1", "n must be nonnegative, got -1"),
         ("mixed --z 1,0 --xi 0.5 --n 101", "partition enumeration capped at n <= 100, got 101"),
+        # p(61) = 1,121,505 partitions: over the table budget, refused
+        # before the first byte, for mixed before its smaller sizes
+        ("zmeasure --z 1,0 --n 61", "a table of the partitions of 61 holds 1121505 diagrams, capped at 1000000"),
+        ("mixed --z 1,0 --xi 0.5 --n 61", "a table of the partitions of 61 holds 1121505 diagrams, capped at 1000000"),
     ],
 )
 def test_table_size_refused_before_any_weighing(capsys, monkeypatch, argv, message):

@@ -34,7 +34,7 @@ from zmeasures.partitions import (
     iter_partition_tuples,
 )
 
-from oracles import _stratum_terms, z_measure_symmetry_check
+from oracles import _stratum_terms, weigh_padded, z_measure_symmetry_check
 
 Z_GRID = (0.5, 1.0, 1 + 1j, 0.3 + 0.7j)
 
@@ -465,11 +465,19 @@ def test_z_measure_table_matches_the_loop(z, theta):
         ]
 
 
-@pytest.mark.parametrize("n, error", [(0, DomainError), (-1, DomainError), (101, ResourceCapError)])
+@pytest.mark.parametrize(
+    "n, error", [(0, DomainError), (-1, DomainError), (61, ResourceCapError), (101, ResourceCapError)]
+)
 def test_z_measure_table_refuses_sizes_before_walking(n, error, monkeypatch):
     monkeypatch.setattr(measures, "_walk_stratum", None)
     with pytest.raises(error):
         measures.z_measure_table(n, ZParams(0.3 + 0.7j))
+
+
+def test_table_budget_admits_sixty_and_refuses_sixty_one():
+    # p(60) = 966,467 and p(61) = 1,121,505; the budget counts whole sizes
+    assert measures._box_count(60, 60, 60) == 966467 <= measures.TABLE_DIAGRAM_CAP
+    assert measures._box_count(61, 61, 61) == 1121505 > measures.TABLE_DIAGRAM_CAP
 
 
 THETAS = (Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(2))
@@ -968,6 +976,74 @@ def test_weigh_drops_columns_no_diagram_fills():
     m = measures._weigh(12, trimmed, np.ascontiguousarray(parts[few, :3]), hooks[few])
     assert [v.hex() for v in measures._weigh(12, padded, parts[few], hooks[few])] == [v.hex() for v in m]
     assert padded._logs.shape == trimmed._logs.shape
+
+
+# -2 at theta = 1 zeroes row 1 at its third factor, 1.5 at theta = 1/2
+# row 4 at its first and rows 6 and 8 further in; -1.5+0.2i at theta =
+# 1/3 has no zero factor
+_WEIGH_Z = ((-2.0, Fraction(1)), (1.5, Fraction(1, 2)), (-1.5 + 0.2j, Fraction(1, 3)))
+
+
+@st.composite
+def _weigh_cases(draw):
+    z, theta = draw(st.sampled_from(_WEIGH_Z))
+    n = draw(st.integers(1, 16))
+    # uncut, as the tables walk, or under the engine's zero cut
+    cut = draw(st.sampled_from(((n, n), measures._MeasureEngine(z, theta).zero_cut(n))))
+    bs = tuple(draw(st.lists(st.integers(1, 6), max_size=2, unique=True)))
+    per_chunk = draw(st.sampled_from((1, 7, 40, 4096)))
+    return z, theta, n, cut, bs, draw(st.booleans()), per_chunk, draw(st.sampled_from((1, 4096)))
+
+
+def _assert_weighs_as_padded(z, theta, n, parts, hooks, per_chunk, below):
+    # below = 1 adds every chunk's rows one at a time, 4096 accumulates them
+    saved = measures._CHUNK_CELLS, measures._ACCUMULATE_BELOW
+    measures._CHUNK_CELLS, measures._ACCUMULATE_BELOW = per_chunk, below
+    try:
+        got = measures._weigh(n, measures._MeasureEngine(z, theta), parts, hooks)
+    finally:
+        measures._CHUNK_CELLS, measures._ACCUMULATE_BELOW = saved
+    want = weigh_padded(n, measures._MeasureEngine(z, theta), parts, hooks)
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+
+
+@settings(max_examples=120, deadline=None)
+@given(_weigh_cases())
+# a whole size of 16 in one chunk and in 40-diagram chunks, and one
+# masked to the diagrams holding 3/2 and 7/2, each at a z with zeros
+@example((1.5, Fraction(1, 2), 16, (16, 16), (), False, 4096, 1))
+@example((-2.0, Fraction(1), 16, (16, 16), (), True, 40, 4096))
+@example((1.5, Fraction(1, 2), 16, (16, 16), (1, 3), False, 7, 1))
+def test_weigh_matches_the_padded_accumulate(case):
+    # whole or masked strata, padded to the walk's rows or trimmed to the
+    # filled columns, weighed in chunks of per_chunk diagrams with their
+    # rows added one at a time or accumulated: the same floats as one
+    # padded index summed along each diagram by np.add.accumulate
+    z, theta, n, cut, bs, trim, per_chunk, below = case
+    parts, hooks, bits = measures._walk_stratum(n, float(theta), column_shifts(theta, n), (), cut)
+    keep = np.ones(len(parts), dtype=bool)
+    for b in bs:
+        keep &= bits[:, b >> 3] & (1 << (b & 7)) != 0
+    parts, hooks = parts[keep], hooks[keep]
+    if trim:
+        parts = np.ascontiguousarray(parts[:, :np.count_nonzero(parts.any(axis=0))])
+    _assert_weighs_as_padded(z, theta, n, parts, hooks, per_chunk, below)
+
+
+@pytest.mark.parametrize("below", [1, 4096])
+@pytest.mark.parametrize("z, theta", _WEIGH_Z)
+@pytest.mark.parametrize("lam", [(1,), (3,), (2, 2, 1, 1), (4, 3, 3, 1, 1, 1, 1, 1)])
+def test_weigh_matches_the_padded_accumulate_on_one_diagram(z, theta, lam, below):
+    # int64 rows, unpadded, as z_measure passes them
+    hook = measures._hook_log(lam, float(theta))
+    _assert_weighs_as_padded(z, theta, sum(lam), np.array([lam], dtype=np.int64), np.array([hook]), 4096, below)
+
+
+def test_weigh_of_an_empty_stratum_is_empty():
+    _assert_weighs_as_padded(-1.5 + 0.2j, Fraction(1, 3), 5, np.zeros((0, 5), np.uint8), np.zeros(0), 4096, 1)
+    eng = measures._MeasureEngine(-1.5 + 0.2j, Fraction(1, 3))
+    assert measures._weigh(5, eng, np.zeros((0, 5), np.uint8), np.zeros(0)).dtype == np.float64
+    assert eng._logs.shape == (0, 1)
 
 
 def test_walk_holds_no_more_than_it_returns():
