@@ -18,9 +18,9 @@ negative-binomial tail.
 The measure has one float recipe, ``_weigh``, which weighs diagrams of
 one size together in numpy: row Pochhammer logs from the engine's one
 table (``_MeasureEngine.row_log_table``, grown in place), added in row
-order across the diagrams of a chunk, 0 for a diagram with a row that reaches
-a zero factor, and exp(lgamma(n + 1) + num - (hook + gamma)) for the
-rest.  It weighs whole strata: ``lattice_correlation`` sums them in the
+order across the diagrams of a chunk, 0 for a diagram with a row that
+reaches a zero factor, and exp(lgamma(n + 1) + num - (hook + gamma))
+for the rest.  It weighs whole strata: ``lattice_correlation`` sums them in the
 order of a full reverse-lexicographic enumeration, and
 ``z_measure_table`` returns the uncut stratum of a size n, all its
 partitions, for the CLI tables and ``spherical_restriction``, refusing a
@@ -735,8 +735,9 @@ def lattice_correlation(
     theta), at any xi, n_max or order of X, is read back with the same
     float.  The engine's row table is grown once, to the zero cut of
     n_max, before the first size is weighed.  ``terms_summed`` counts the
-    diagrams with nonzero measure that contain X.  The point 1/2 is no positive coordinate of any diagram, so
-    an X holding it returns 0 without a walk.  ``n_max`` must be an
+    diagrams with nonzero measure that contain X.  The point 1/2 is no
+    positive coordinate of any diagram, so an X holding it returns 0
+    without a walk.  ``n_max`` must be an
     integer (ParameterError otherwise) in [0, ``LATTICE_NMAX_CAP``]
     (ResourceCapError).
     """
