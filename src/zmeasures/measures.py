@@ -614,7 +614,10 @@ def _weigh(n: int, eng: _MeasureEngine, parts: np.ndarray, hooks: np.ndarray) ->
         live = slice(None)
         if np.count_nonzero(zero_at[:rows] <= width):  # some row may reach a zero factor
             live = ~(chunk[:, :rows] >= zero_at[:rows]).any(axis=1)
-        m[lo:lo + _CHUNK_CELLS][live] = np.fromiter(map(math.exp, logm[live].tolist()), float)
+        logm = logm[live]
+        # a memoryview hands math.exp one float at a time, where tolist
+        # would hold the chunk's floats as objects at once
+        m[lo:lo + _CHUNK_CELLS][live] = np.fromiter(map(math.exp, memoryview(logm)), float, len(logm))
     return m
 
 
