@@ -360,12 +360,6 @@ def _tail_table(cells: int) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
 # row by row over chunks of _CHUNK_CELLS diagrams, so the arrays of a chunk
 # stay near _CHUNK_CELLS entries (a row) whatever the stratum holds
 _CHUNK_CELLS = 4096
-# diagrams below which a chunk's row sums are one np.add.accumulate down its
-# rows: there its inner loops over few rows cost less than an add per row
-# (one diagram of 16 cells: 14 against 20 us a _weigh call), and above it
-# more (4,096 diagrams of 30 rows: 0.64 ms for the accumulate alone, 0.37 ms
-# for the row adds with their gathers)
-_ACCUMULATE_BELOW = 256
 
 
 def _chunk_hooks(n: int, th: float, shifts: np.ndarray, heights: list[int], widths: list[int], rows: int):
@@ -571,49 +565,35 @@ def _weigh(n: int, eng: _MeasureEngine, parts: np.ndarray, hooks: np.ndarray) ->
     """The z-measures under ``eng`` of the partitions of n with rows
     ``parts`` (zero-padded, any integer dtype) and hook logs ``hooks``.
 
-    Over chunks of ``_CHUNK_CELLS`` diagrams, each diagram's row
-    Pochhammer logs (num) are gathered from ``eng.row_log_table`` and
-    added in row order, ((l0 + l1) + l2) + ...; a padded cell adds
-    logs[i, 0] = 0.0, which leaves every sum as it is.  A chunk of fewer
-    than ``_ACCUMULATE_BELOW`` diagrams adds its rows with one sequential
-    ``np.add.accumulate`` down the rows; a larger one a row at a time,
-    num = logs[0][parts[:, 0]], then num += logs[i][parts[:, i]], as the
-    accumulate's inner loop over few rows costs more than one add per
-    row there.  A chunk's columns that none of its diagrams fills, found
-    by bisection (filled columns are a prefix), are not visited and do
-    not grow the table.  A diagram with a row that reaches a zero factor
-    weighs 0; the test is run only when a zero lies within the stratum's
-    first part.  The rest take exp((lgamma(n + 1) + num) - (hook log +
+    Row Pochhammer logs (num) are gathered from ``eng.row_log_table``
+    and added in row order, ((l0 + l1) + l2) + ..., a row at a time
+    across a chunk of ``_CHUNK_CELLS`` diagrams: num = logs[0][parts[:,
+    0]], then num += logs[i][parts[:, i]].  A padded cell adds logs[i, 0]
+    = 0.0, which leaves every sum as it is, and columns that no diagram
+    fills, the padding to the walk's rows that a stratum does not use,
+    are dropped.  A diagram with a row that reaches a zero factor weighs
+    0; the test is run only when a zero lies within the stratum's first
+    part.  The rest take exp((lgamma(n + 1) + num) - (hook log +
     (lgamma(a + n) - lgamma(a)))), per diagram with ``math.exp``, whose
     rounding numpy's exp does not share."""
     count = len(parts)
     m = np.zeros(count)
     if not count:
         return m
+    rows = int(np.count_nonzero(parts.any(axis=0)))
     width = int(parts[:, 0].max())
+    logs, zero_at = eng.row_log_table(rows, width)
+    zero_at = zero_at[:rows]
+    reach = np.count_nonzero(zero_at <= width)  # some row may reach a zero factor
     top = math.lgamma(n + 1)
     gamma = math.lgamma(eng.a + n) - math.lgamma(eng.a)
     for lo in range(0, count, _CHUNK_CELLS):
         chunk = parts[lo:lo + _CHUNK_CELLS]
-        # the chunk's filled columns are a prefix: all of them, as in an
-        # unpadded diagram, or a bisection for their count
-        rows = hi = chunk.shape[1]
-        if not np.count_nonzero(chunk[:, -1]):
-            rows = 1
-            while rows < hi:
-                mid = (rows + hi) // 2
-                rows, hi = (mid + 1, hi) if np.count_nonzero(chunk[:, mid]) else (rows, mid)
-        logs, zero_at = eng.row_log_table(rows, width)
-        if len(chunk) < _ACCUMULATE_BELOW:
-            num = np.add.accumulate(logs[np.arange(rows)[:, None], chunk[:, :rows].T], axis=0)[-1]
-        else:
-            num = logs[0].take(chunk[:, 0].astype(np.intp))
-            for i in range(1, rows):
-                num += logs[i].take(chunk[:, i].astype(np.intp))
+        num = logs[0].take(chunk[:, 0])
+        for i in range(1, rows):
+            num += logs[i].take(chunk[:, i])
         logm = (top + num) - (hooks[lo:lo + _CHUNK_CELLS] + gamma)
-        live = slice(None)
-        if np.count_nonzero(zero_at[:rows] <= width):  # some row may reach a zero factor
-            live = ~(chunk[:, :rows] >= zero_at[:rows]).any(axis=1)
+        live = ~(chunk[:, :rows] >= zero_at).any(axis=1) if reach else slice(None)
         logm = logm[live]
         # a memoryview hands math.exp one float at a time, where tolist
         # would hold the chunk's floats as objects at once
@@ -736,11 +716,9 @@ def lattice_correlation(
     Pochhammer zero kills are never built, every size up to
     ``LATTICE_NMAX_CAP`` counts, and a size already summed at this (z,
     theta), at any xi, n_max or order of X, is read back with the same
-    float.  The engine's row table is grown once, to the zero cut of
-    n_max, before the first size is weighed.  ``terms_summed`` counts the
-    diagrams with nonzero measure that contain X.  The point 1/2 is no
-    positive coordinate of any diagram, so an X holding it returns 0
-    without a walk.  ``n_max`` must be an
+    float.  ``terms_summed`` counts the diagrams with nonzero measure that
+    contain X.  The point 1/2 is no positive coordinate of any diagram, so
+    an X holding it returns 0 without a walk.  ``n_max`` must be an
     integer (ParameterError otherwise) in [0, ``LATTICE_NMAX_CAP``]
     (ResourceCapError).
     """
@@ -750,7 +728,6 @@ def lattice_correlation(
     if 0 in target_bs:
         return CorrelationReport(value=0.0, truncation_bound=bound, n_max_used=n_max, terms_summed=0)
     eng = _engine(p.z, p.theta)
-    eng.row_log_table(*eng.zero_cut(n_max))
     shifts = column_shifts(p.theta, n_max)
 
     value = 0.0

@@ -991,18 +991,16 @@ def _weigh_cases(draw):
     # uncut, as the tables walk, or under the engine's zero cut
     cut = draw(st.sampled_from(((n, n), measures._MeasureEngine(z, theta).zero_cut(n))))
     bs = tuple(draw(st.lists(st.integers(1, 6), max_size=2, unique=True)))
-    per_chunk = draw(st.sampled_from((1, 7, 40, 4096)))
-    return z, theta, n, cut, bs, draw(st.booleans()), per_chunk, draw(st.sampled_from((1, 4096)))
+    return z, theta, n, cut, bs, draw(st.booleans()), draw(st.sampled_from((1, 7, 40, 4096)))
 
 
-def _assert_weighs_as_padded(z, theta, n, parts, hooks, per_chunk, below):
-    # below = 1 adds every chunk's rows one at a time, 4096 accumulates them
-    saved = measures._CHUNK_CELLS, measures._ACCUMULATE_BELOW
-    measures._CHUNK_CELLS, measures._ACCUMULATE_BELOW = per_chunk, below
+def _assert_weighs_as_padded(z, theta, n, parts, hooks, per_chunk):
+    saved = measures._CHUNK_CELLS
+    measures._CHUNK_CELLS = per_chunk
     try:
         got = measures._weigh(n, measures._MeasureEngine(z, theta), parts, hooks)
     finally:
-        measures._CHUNK_CELLS, measures._ACCUMULATE_BELOW = saved
+        measures._CHUNK_CELLS = saved
     want = weigh_padded(n, measures._MeasureEngine(z, theta), parts, hooks)
     assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
 
@@ -1011,15 +1009,15 @@ def _assert_weighs_as_padded(z, theta, n, parts, hooks, per_chunk, below):
 @given(_weigh_cases())
 # a whole size of 16 in one chunk and in 40-diagram chunks, and one
 # masked to the diagrams holding 3/2 and 7/2, each at a z with zeros
-@example((1.5, Fraction(1, 2), 16, (16, 16), (), False, 4096, 1))
-@example((-2.0, Fraction(1), 16, (16, 16), (), True, 40, 4096))
-@example((1.5, Fraction(1, 2), 16, (16, 16), (1, 3), False, 7, 1))
+@example((1.5, Fraction(1, 2), 16, (16, 16), (), False, 4096))
+@example((-2.0, Fraction(1), 16, (16, 16), (), True, 40))
+@example((1.5, Fraction(1, 2), 16, (16, 16), (1, 3), False, 7))
 def test_weigh_matches_the_padded_accumulate(case):
     # whole or masked strata, padded to the walk's rows or trimmed to the
     # filled columns, weighed in chunks of per_chunk diagrams with their
-    # rows added one at a time or accumulated: the same floats as one
-    # padded index summed along each diagram by np.add.accumulate
-    z, theta, n, cut, bs, trim, per_chunk, below = case
+    # rows added one at a time: the same floats as one padded index
+    # summed along each diagram by np.add.accumulate
+    z, theta, n, cut, bs, trim, per_chunk = case
     parts, hooks, bits = measures._walk_stratum(n, float(theta), column_shifts(theta, n), (), cut)
     keep = np.ones(len(parts), dtype=bool)
     for b in bs:
@@ -1027,20 +1025,19 @@ def test_weigh_matches_the_padded_accumulate(case):
     parts, hooks = parts[keep], hooks[keep]
     if trim:
         parts = np.ascontiguousarray(parts[:, :np.count_nonzero(parts.any(axis=0))])
-    _assert_weighs_as_padded(z, theta, n, parts, hooks, per_chunk, below)
+    _assert_weighs_as_padded(z, theta, n, parts, hooks, per_chunk)
 
 
-@pytest.mark.parametrize("below", [1, 4096])
 @pytest.mark.parametrize("z, theta", _WEIGH_Z)
 @pytest.mark.parametrize("lam", [(1,), (3,), (2, 2, 1, 1), (4, 3, 3, 1, 1, 1, 1, 1)])
-def test_weigh_matches_the_padded_accumulate_on_one_diagram(z, theta, lam, below):
+def test_weigh_matches_the_padded_accumulate_on_one_diagram(z, theta, lam):
     # int64 rows, unpadded, as z_measure passes them
     hook = measures._hook_log(lam, float(theta))
-    _assert_weighs_as_padded(z, theta, sum(lam), np.array([lam], dtype=np.int64), np.array([hook]), 4096, below)
+    _assert_weighs_as_padded(z, theta, sum(lam), np.array([lam], dtype=np.int64), np.array([hook]), 4096)
 
 
 def test_weigh_of_an_empty_stratum_is_empty():
-    _assert_weighs_as_padded(-1.5 + 0.2j, Fraction(1, 3), 5, np.zeros((0, 5), np.uint8), np.zeros(0), 4096, 1)
+    _assert_weighs_as_padded(-1.5 + 0.2j, Fraction(1, 3), 5, np.zeros((0, 5), np.uint8), np.zeros(0), 4096)
     eng = measures._MeasureEngine(-1.5 + 0.2j, Fraction(1, 3))
     assert measures._weigh(5, eng, np.zeros((0, 5), np.uint8), np.zeros(0)).dtype == np.float64
     assert eng._logs.shape == (0, 1)
