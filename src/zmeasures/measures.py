@@ -716,10 +716,12 @@ def lattice_correlation(
     Pochhammer zero kills are never built, every size up to
     ``LATTICE_NMAX_CAP`` counts, and a size already summed at this (z,
     theta), at any xi, n_max or order of X, is read back with the same
-    float.  ``terms_summed`` counts the diagrams with nonzero measure that
-    contain X.  The point 1/2 is no positive coordinate of any diagram, so
-    an X holding it returns 0 without a walk.  ``n_max`` must be an
-    integer (ParameterError otherwise) in [0, ``LATTICE_NMAX_CAP``]
+    float.  The engine's row table is grown once, to the zero cut of
+    n_max (n_max x n_max for a z without a zero factor), before the first
+    size is weighed.  ``terms_summed`` counts the diagrams with nonzero
+    measure that contain X.  The point 1/2 is no positive coordinate of
+    any diagram, so an X holding it returns 0 without a walk.  ``n_max``
+    must be an integer (ParameterError otherwise) in [0, ``LATTICE_NMAX_CAP``]
     (ResourceCapError).
     """
     n_max = validate_n_max(n_max, LATTICE_NMAX_CAP)
@@ -728,6 +730,7 @@ def lattice_correlation(
     if 0 in target_bs:
         return CorrelationReport(value=0.0, truncation_bound=bound, n_max_used=n_max, terms_summed=0)
     eng = _engine(p.z, p.theta)
+    eng.row_log_table(*eng.zero_cut(n_max))
     shifts = column_shifts(p.theta, n_max)
 
     value = 0.0
