@@ -1,16 +1,24 @@
 """Command-line interface: every computation behind one batch binary.
 
+The subcommands are declared once, in ``_COMMANDS``: each one's name, help,
+handler and arguments, in the order usage and error text print them.  The
+flags several commands share (--z, --theta, --n, --xi, --u) are specified
+once each, and every command also takes --format and --out.
+
 Complex parameters are written "re,im" (e.g. --z 0.3,0.4); half-integers
 either as exact fractions "19/2" or decimals ending in .5; --theta as an
 exact fraction or decimal ("1/3", "0.3" = 3/10) in every command.  Output is
 CSV (default) or JSON via --format, to stdout or --out.  Exit codes:
-0 success, 2 parameter/usage error, 3 numerical error.
+0 success, 2 parameter/usage error, 3 numerical error.  A handler runs every
+check that can refuse before it returns, so a refused command writes no
+byte; rows that cannot fail may then be formed as they are written.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import sys
@@ -33,7 +41,7 @@ from .measures import (
     negative_binomial_weight,
     z_measure_table,
 )
-from .pairings import cycle_count, enumerate_matchings, t_measure
+from .pairings import Matching, cycle_count, enumerate_matchings, t_measure
 from .partitions import (
     HALF,
     YoungDiagram,
@@ -73,11 +81,6 @@ def _emit(rows: Iterable[dict], fmt: str, out: str | None):
             keys = list(first)
             f.write(",".join(keys) + "\n")
             f.writelines(",".join(str(r[k]) for k in keys) + "\n" for r in itertools.chain([first], rows))
-
-
-def _add_common(sp: argparse.ArgumentParser):
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--out", default=None, help="output path (default stdout)")
 
 
 def _partition_row(parts: tuple[int, ...], theta) -> dict:
@@ -138,17 +141,21 @@ def _cmd_lattice_corr(args) -> list[dict]:
     ]
 
 
-def _cmd_pairings(args) -> list[dict]:
-    rows = []
-    for x in enumerate_matchings(args.n):
-        rows.append(
-            {
-                "pairs": " ".join(f"{a}:{b}" for a, b in x.pairs),
-                "circles": cycle_count(x),
-                "t_measure": repr(t_measure(x, args.t)),
-            }
-        )
-    return rows
+def _cmd_pairings(args) -> Iterator[dict]:
+    matchings = enumerate_matchings(args.n)
+    # the matching of the pairs (-i, i) has n circles, the most of any, so
+    # for t > 1 its t^(circles-1) is the first to overflow, and every
+    # matching shares the denominator: each t a row would refuse is refused
+    # here, before the first byte
+    t_measure(Matching.from_pairs((-i, i) for i in range(1, args.n + 1)), args.t)
+    return (
+        {
+            "pairs": " ".join(f"{a}:{b}" for a, b in x.pairs),
+            "circles": cycle_count(x),
+            "t_measure": repr(t_measure(x, args.t)),
+        }
+        for x in matchings
+    )
 
 
 def _parse_int_tuple(s: str, what: str) -> tuple[int, ...]:
@@ -159,11 +166,7 @@ def _parse_int_tuple(s: str, what: str) -> tuple[int, ...]:
 
 
 def _cmd_gelfand(args) -> list[dict]:
-    cycles = []
-    for c in args.g.split(";"):
-        c = c.strip()
-        if c:
-            cycles.append(_parse_int_tuple(c, "--g cycle"))
+    cycles = [_parse_int_tuple(c, "--g cycle") for c in map(str.strip, args.g.split(";")) if c]
     g = from_cycles(2 * args.n, cycles)
     ct = coset_type(g)
     rows = [{"quantity": "coset_type", "value": " ".join(map(str, ct.parts)), "error_bound": ""}]
@@ -178,18 +181,10 @@ def _cmd_gelfand(args) -> list[dict]:
 
 
 def _cmd_whittaker(args) -> list[dict]:
-    m = args.m
-    rows = []
-    for x in args.x:
-        v = whittaker_W(args.k, m, x)
-        rows.append(
-            {
-                "x": repr(x),
-                "W": repr(v),
-                "W_deriv": repr(whittaker_W_deriv(args.k, m, x)),
-            }
-        )
-    return rows
+    k, m = args.k, args.m
+    return [
+        {"x": repr(x), "W": repr(whittaker_W(k, m, x)), "W_deriv": repr(whittaker_W_deriv(k, m, x))} for x in args.x
+    ]
 
 
 def _cmd_kernel(args) -> list[dict]:
@@ -197,28 +192,13 @@ def _cmd_kernel(args) -> list[dict]:
     rows = []
     for x in args.x:
         for y in args.y:
+            row = {"x": repr(x), "y": repr(y)}
             if args.which == "scalar":
-                rows.append(
-                    {
-                        "x": repr(x),
-                        "y": repr(y),
-                        "K": repr(scalar_whittaker_kernel(x, y, params)),
-                        "error_bound": "",
-                    }
-                )
+                row.update(K=repr(scalar_whittaker_kernel(x, y, params)), error_bound="")
             else:
                 v = matrix_kernel(x, y, params)
-                rows.append(
-                    {
-                        "x": repr(x),
-                        "y": repr(y),
-                        "S": repr(v.s),
-                        "S_y": repr(v.s_y),
-                        "S_x": repr(v.s_x),
-                        "S_xy": repr(v.s_xy),
-                        "error_bound": repr(v.error),
-                    }
-                )
+                row.update(S=repr(v.s), S_y=repr(v.s_y), S_x=repr(v.s_x), S_xy=repr(v.s_xy), error_bound=repr(v.error))
+            rows.append(row)
     return rows
 
 
@@ -254,6 +234,51 @@ def _cmd_verify_limit(args) -> list[dict]:
     return rows
 
 
+def _arg(*flags, **kw) -> tuple[tuple[str, ...], dict]:
+    """One ``add_argument`` call, as its flags and keywords."""
+    return flags, kw
+
+
+# a required comma-separated list of floats, under the flag it is given
+_floats = functools.partial(_arg, type=_parse_float_list, required=True)
+# the flags several commands share, each specified once; a command that
+# reads one differently replaces keywords, as in _XI(type=None)
+_Z = functools.partial(_arg, "--z", type=_parse_complex, required=True)
+# exact in every command that takes it: "0.3" is 3/10, not the float nearest
+_THETA = functools.partial(_arg, "--theta", type=_as_fraction, default=HALF)
+_N = functools.partial(_arg, "--n", type=int, required=True)
+_XI = functools.partial(_arg, "--xi", type=float, required=True)
+_U = functools.partial(_floats, "--u")
+
+# (name, help, handler, arguments): usage and error text follow this order
+_COMMANDS = (
+    ("partitions", "enumerate partitions with (A|B) coordinates", _cmd_partitions,
+     [_N(), _THETA(), _arg("--max-rows", type=int, default=None)]),
+    ("zmeasure", "z-measure table for partitions of n", _cmd_zmeasure,
+     [_Z(), _THETA(), _N()]),
+    ("mixed", "mixed z-measure table up to size n", _cmd_mixed,
+     [_Z(), _THETA(), _XI(), _N()]),
+    ("lattice-corr", "lattice correlation function at half-integer points", _cmd_lattice_corr,
+     [_Z(), _THETA(), _XI(), _arg("--x", nargs="+", required=True), _arg("--nmax", type=int, default=60)]),
+    ("pairings", "perfect matchings with circle counts and t-measures", _cmd_pairings,
+     [_N(), _arg("--t", type=float, default=1.0)]),
+    ("gelfand", "coset types and spherical functions", _cmd_gelfand,
+     [_N(),
+      _arg("--g", required=True, help="permutation of 1..2n as semicolon-separated cycles, e.g. '1,3,5;6,7;2,4,8'"),
+      _Z(required=False),
+      _arg("--lam", default=None, help="partition for a zonal value, e.g. '2,1'")]),
+    ("whittaker", "Whittaker function values", _cmd_whittaker,
+     [_arg("--k", type=float, required=True), _arg("--m", type=_parse_complex, required=True), _floats("--x")]),
+    ("kernel", "scalar or matrix Whittaker kernel values", _cmd_kernel,
+     [_arg("which", choices=("scalar", "matrix")), _Z(), _floats("--x"), _floats("--y")]),
+    ("corr", "continuum correlation function (Pfaffian)", _cmd_corr,
+     [_Z(), _U()]),
+    ("verify-limit", "scaling-limit ladder report", _cmd_verify_limit,
+     [_Z(), _U(), _XI(type=None, help="comma-separated ladder, e.g. 0.8,0.85,0.9"),
+      _arg("--nmax", type=int, default=DEFAULT_NMAX)]),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="zmeasures",
@@ -261,85 +286,13 @@ def build_parser() -> argparse.ArgumentParser:
         "and Pfaffian correlation functions.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("partitions", help="enumerate partitions with (A|B) coordinates")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--theta", type=_as_fraction, default=HALF)
-    sp.add_argument("--max-rows", type=int, default=None)
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_partitions)
-
-    sp = sub.add_parser("zmeasure", help="z-measure table for partitions of n")
-    sp.add_argument("--z", type=_parse_complex, required=True)
-    sp.add_argument("--theta", type=_as_fraction, default=HALF)
-    sp.add_argument("--n", type=int, required=True)
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_zmeasure)
-
-    sp = sub.add_parser("mixed", help="mixed z-measure table up to size n")
-    sp.add_argument("--z", type=_parse_complex, required=True)
-    sp.add_argument("--theta", type=_as_fraction, default=HALF)
-    sp.add_argument("--xi", type=float, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_mixed)
-
-    sp = sub.add_parser("lattice-corr", help="lattice correlation function at half-integer points")
-    sp.add_argument("--z", type=_parse_complex, required=True)
-    sp.add_argument("--theta", type=_as_fraction, default=HALF)
-    sp.add_argument("--xi", type=float, required=True)
-    sp.add_argument("--x", nargs="+", required=True)
-    sp.add_argument("--nmax", type=int, default=60)
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_lattice_corr)
-
-    sp = sub.add_parser("pairings", help="perfect matchings with circle counts and t-measures")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--t", type=float, default=1.0)
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_pairings)
-
-    sp = sub.add_parser("gelfand", help="coset types and spherical functions")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument(
-        "--g",
-        required=True,
-        help="permutation of 1..2n as semicolon-separated cycles, e.g. '1,3,5;6,7;2,4,8'",
-    )
-    sp.add_argument("--z", type=_parse_complex, default=None)
-    sp.add_argument("--lam", default=None, help="partition for a zonal value, e.g. '2,1'")
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_gelfand)
-
-    sp = sub.add_parser("whittaker", help="Whittaker function values")
-    sp.add_argument("--k", type=float, required=True)
-    sp.add_argument("--m", type=_parse_complex, required=True)
-    sp.add_argument("--x", type=_parse_float_list, required=True)
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_whittaker)
-
-    sp = sub.add_parser("kernel", help="scalar or matrix Whittaker kernel values")
-    sp.add_argument("which", choices=("scalar", "matrix"))
-    sp.add_argument("--z", type=_parse_complex, required=True)
-    sp.add_argument("--x", type=_parse_float_list, required=True)
-    sp.add_argument("--y", type=_parse_float_list, required=True)
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_kernel)
-
-    sp = sub.add_parser("corr", help="continuum correlation function (Pfaffian)")
-    sp.add_argument("--z", type=_parse_complex, required=True)
-    sp.add_argument("--u", type=_parse_float_list, required=True)
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_corr)
-
-    sp = sub.add_parser("verify-limit", help="scaling-limit ladder report")
-    sp.add_argument("--z", type=_parse_complex, required=True)
-    sp.add_argument("--u", type=_parse_float_list, required=True)
-    sp.add_argument("--xi", required=True, help="comma-separated ladder, e.g. 0.8,0.85,0.9")
-    sp.add_argument("--nmax", type=int, default=DEFAULT_NMAX)
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_verify_limit)
-
+    for name, summary, fn, arguments in _COMMANDS:
+        sp = sub.add_parser(name, help=summary)
+        for flags, kw in arguments:
+            sp.add_argument(*flags, **kw)
+        sp.add_argument("--format", choices=("csv", "json"), default="csv")
+        sp.add_argument("--out", default=None, help="output path (default stdout)")
+        sp.set_defaults(fn=fn)
     return ap
 
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from zmeasures.cli import build_parser, run
+from zmeasures.cli import _COMMANDS, build_parser, run
 from zmeasures.partitions import iter_partition_tuples
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -113,6 +114,38 @@ def test_readme_line_prints_reference(capsys, line):
     op = next(op for op in reference["ops"] if op["id"] == line)
     code, out = capture(capsys, op["argv"])
     assert (code, out) == (op["expect"]["returncode"], op["expect"]["stdout"])
+
+
+def _readme_command_block() -> list[str]:
+    """The lines of the README's first command block, after ``zmeasures``."""
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.strip()]
+
+
+def test_readme_names_every_command():
+    named = {argv[0] for argv in _readme_command_block()}
+    assert [name for name, *_ in _COMMANDS if name not in named] == []
+    assert {"scalar", "matrix"} <= {argv[1] for argv in _readme_command_block() if argv[0] == "kernel"}
+
+
+def test_readme_holds_the_benchmark_lines():
+    # the README lines whose stdout the benchmark's reference stores
+    reference = json.loads((ROOT / "perfbench" / "reference" / "cli.json").read_text())
+    lines = _readme_command_block()
+    assert [op["id"] for op in reference["ops"] if op["argv"] not in lines] == []
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["zmeasures", "partitions", "zmeasure", "mixed", "lattice-corr", "pairings", "gelfand", "whittaker", "kernel",
+     "corr", "verify-limit"],
+)
+def test_help_is_byte_identical(capsys, monkeypatch, command):
+    # argparse wraps help at the terminal width, which it reads from COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(["--help"] if command == "zmeasures" else [command, "--help"]) == 0
+    assert capsys.readouterr().out == (ROOT / "tests" / "golden" / "help" / f"{command}.txt").read_text()
 
 
 @pytest.mark.parametrize(
@@ -525,6 +558,40 @@ def test_csv_rows_are_written_as_they_are_formatted(monkeypatch):
 def test_streamed_partitions_refused_before_the_first_byte(capsys, argv):
     assert run(argv.split()) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("pairings --n 0", "n must be >= 1, got 0"),
+        ("pairings --n 9", "matching enumeration capped at n <= 8, got 9"),
+        ("pairings --n 3 --t 0", "t must be positive, got 0.0"),
+        ("pairings --n 3 --t nan", "t must be positive, got nan"),
+        # t^2 overflows only for the matching of three circles, the last row
+        ("pairings --n 3 --t 1e200", "t = 1e+200 overflows t^(circles-1) or (t+2) ... (t+4)"),
+    ],
+)
+def test_streamed_pairings_refused_before_the_first_byte(capsys, argv, message):
+    assert run(argv.split()) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_pairings_writes_each_row_before_forming_the_next(monkeypatch):
+    from zmeasures import cli
+
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    real = cli.cycle_count
+    written = []
+
+    def spy(x):
+        written.append(out.getvalue().count("\n"))
+        return real(x)
+
+    monkeypatch.setattr(cli, "cycle_count", spy)
+    assert run(["pairings", "--n", "3"]) == 0
+    # the first row is formed before the header, which names its keys
+    assert written == [0] + [i + 1 for i in range(1, 15)]
 
 
 def test_mixed_weighs_each_size_after_the_rows_before_it(monkeypatch):
