@@ -41,7 +41,7 @@ from .measures import (
     negative_binomial_weight,
     z_measure_table,
 )
-from .pairings import Matching, cycle_count, enumerate_matchings, t_measure
+from .pairings import Matching, _matchings, cycle_count, t_measure
 from .partitions import (
     HALF,
     YoungDiagram,
@@ -142,7 +142,7 @@ def _cmd_lattice_corr(args) -> list[dict]:
 
 
 def _cmd_pairings(args) -> Iterator[dict]:
-    matchings = enumerate_matchings(args.n)
+    matchings = _matchings(args.n)  # n is checked here; the walk holds one matching at a time
     # the matching of the pairs (-i, i) has n circles, the most of any, so
     # for t > 1 its t^(circles-1) is the first to overflow, and every
     # matching shares the denominator: each t a row would refuse is refused

@@ -47,15 +47,22 @@ def validate_z(z) -> complex:
     return zc
 
 
+def _as_index(value, name: str) -> int:
+    """``value`` as an int: ParameterError unless it is an integer (numpy
+    integers included), so that 2.5, 3.0, "3" or None are refused with
+    the library's errors instead of a bare TypeError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+
+
 def validate_n_max(n_max, cap: int) -> int:
     """The truncation size n_max as an int in [0, cap]: ParameterError
-    unless it is an integer (numpy integers included), ResourceCapError
-    beyond the cap.  A float such as NaN would pass both comparisons and
-    leave the negative-binomial tail summing forever."""
-    try:
-        n = operator.index(n_max)
-    except TypeError:
-        raise ParameterError(f"n_max must be an integer, got {n_max!r}") from None
+    unless it is an integer (``_as_index``), ResourceCapError beyond the
+    cap.  A float such as NaN would pass both comparisons and leave the
+    negative-binomial tail summing forever."""
+    n = _as_index(n_max, "n_max")
     if not 0 <= n <= cap:
         raise ResourceCapError(f"n_max must lie in [0, {cap}], got {n}")
     return n

@@ -17,10 +17,10 @@ negative-binomial tail.
 
 The measure has one float recipe, ``_weigh``, which weighs diagrams of
 one size together in numpy: row Pochhammer logs from the engine's one
-table (``_MeasureEngine.row_log_table``, grown in place), added in row
-order across the diagrams of a chunk, 0 for a diagram with a row that
-reaches a zero factor, and exp(lgamma(n + 1) + num - (hook + gamma))
-for the rest.  It weighs whole strata: ``lattice_correlation`` sums them in the
+table (``_MeasureEngine.row_log_table``, rebuilt at the shape asked),
+added in row order across the diagrams of a chunk, 0 for a diagram with
+a row that reaches a zero factor, and exp(lgamma(n + 1) + num - (hook +
+gamma)) for the rest.  It weighs whole strata: ``lattice_correlation`` sums them in the
 order of a full reverse-lexicographic enumeration, and
 ``z_measure_table`` returns the uncut stratum of a size n, all its
 partitions, for the CLI tables and ``spherical_restriction``, refusing a
@@ -199,26 +199,21 @@ class _MeasureEngine:
 
     def row_log_table(self, rows: int, width: int) -> tuple[np.ndarray, np.ndarray]:
         """The table (logs, zero) for at least ``rows`` rows and lengths
-        0..``width``, grown in place to exactly what ``_weigh`` asks for.
-        ``logs[i, p]`` is 2 log |(z - i theta)_p|, row i+1's Pochhammer
-        product at length p, summed in order from each factor's
-        2.0 * math.log(abs(f)) (numpy's log rounds differently); growing
-        carries a row's sum on from its last value, so each entry is
-        computed once, as the float one pass over the row gives.  A factor
-        below 1e-300 is zero: from it on the row holds -inf, and ``zero[i]``
-        is its index + 1 (2^60 where the row has none)."""
-        have_rows, have_width = self._logs.shape[0], self._logs.shape[1] - 1
-        if have_rows < rows or have_width < width:
-            rows, width = max(rows, have_rows), max(width, have_width)
-            logs, zero = np.zeros((rows, width + 1)), np.full(rows, 1 << 60, dtype=np.int64)
-            logs[:have_rows, :have_width + 1], zero[:have_rows] = self._logs, self._zero
-            for i in range(have_rows if width == have_width else 0, rows):  # the rows that grow
-                start, base = (have_width if i < have_rows else 0), self.z - i * self.theta
-                terms = [float(logs[i, start])] + [2.0 * math.log(m) if (m := abs(base + j)) >= 1e-300
-                                                   else -math.inf for j in range(start, width)]
-                logs[i, start:] = np.add.accumulate(terms)
-                if zero[i] >> 60 and -math.inf in terms:  # a new first zero
-                    zero[i] = start + terms.index(-math.inf)
+        0..``width``, rebuilt at the larger of each extent asked and held
+        when a call asks for more.  ``logs[i, p]`` is 2 log |(z - i
+        theta)_p|, row i+1's Pochhammer product at length p: one
+        ``np.add.accumulate`` of 0.0 and each factor's 2.0 *
+        math.log(abs(f)) (numpy's log rounds differently).  A factor below
+        1e-300 is zero: from it on the row holds -inf, and ``zero[i]`` is
+        the index of the first -inf in that list (2^60 if there is none)."""
+        rows, width = max(rows, self._logs.shape[0]), max(width, self._logs.shape[1] - 1)
+        if (rows, width + 1) != self._logs.shape:
+            logs, zero = np.empty((rows, width + 1)), np.empty(rows, dtype=np.int64)
+            for i in range(rows):
+                terms = [0.0] + [2.0 * math.log(m) if (m := abs((self.z - i * self.theta) + j)) >= 1e-300
+                                 else -math.inf for j in range(width)]
+                logs[i] = np.add.accumulate(terms)
+                zero[i] = terms.index(-math.inf) if -math.inf in terms else 1 << 60
             self._logs, self._zero = logs, zero
         return self._logs, self._zero
 
@@ -682,7 +677,7 @@ def check_table_size(n: int) -> None:
     """Refuse a table of the partitions of n before anything is walked:
     ``check_enumeration_size`` first, then ResourceCapError when the table
     would hold more than ``TABLE_DIAGRAM_CAP`` diagrams."""
-    check_enumeration_size(n)
+    n = check_enumeration_size(n)
     count = _box_count(n, n, n)
     if count > TABLE_DIAGRAM_CAP:
         raise ResourceCapError(

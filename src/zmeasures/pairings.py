@@ -14,9 +14,9 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
-from .errors import DomainError, ParameterError, ResourceCapError
+from .errors import DomainError, ParameterError, ResourceCapError, _as_index
 
 MATCHING_ENUMERATION_CAP = 8
 
@@ -63,9 +63,11 @@ class Matching:
         return len(self.pairs)
 
 
-def enumerate_matchings(n: int) -> list[Matching]:
-    """All (2n-1)!! matchings, in the order produced by repeatedly
-    pairing the smallest unmatched symbol with each larger one."""
+def _matchings(n: int) -> Iterator[Matching]:
+    """The (2n-1)!! matchings of level n, one at a time, by a depth-first
+    walk that pairs the smallest unmatched symbol with each larger one.
+    n is refused when this is called, before anything is yielded."""
+    n = _as_index(n, "n")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if n > MATCHING_ENUMERATION_CAP:
@@ -73,18 +75,18 @@ def enumerate_matchings(n: int) -> list[Matching]:
             f"matching enumeration capped at n <= {MATCHING_ENUMERATION_CAP}, got {n}"
         )
 
-    # (pairs so far, unmatched symbols in increasing order), one level per
-    # pair; expanding every state in turn keeps the depth-first order
-    states = [((), tuple(symbols(n)))]
-    for _ in range(n):
-        states = [
-            (pairs + ((rest[0], rest[i]),), rest[1:i] + rest[i + 1 :])
-            for pairs, rest in states
-            for i in range(1, len(rest))
-        ]
-    # each pair is (smallest unmatched symbol, a larger one), so the pairs
-    # come out sorted and already canonical
-    return [Matching._canonical(pairs) for pairs, _ in states]
+    def walk(pairs: tuple[tuple[int, int], ...], rest: tuple[int, ...]) -> Iterator[Matching]:
+        if not rest:  # each pair opened with the smallest symbol left, so they are sorted
+            yield Matching._canonical(pairs)
+        for i in range(1, len(rest)):
+            yield from walk(pairs + ((rest[0], rest[i]),), rest[1:i] + rest[i + 1 :])
+
+    return walk((), tuple(symbols(n)))
+
+
+def enumerate_matchings(n: int) -> list[Matching]:
+    """All (2n-1)!! matchings as a list, in the order of ``_matchings``."""
+    return list(_matchings(n))
 
 
 def circle_lengths(x: Matching) -> list[int]:

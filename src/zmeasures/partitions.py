@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
-from .errors import DomainError, ParameterError, ResourceCapError
+from .errors import DomainError, ParameterError, ResourceCapError, _as_index
 
 HALF = Fraction(1, 2)
 
@@ -118,19 +118,22 @@ class LatticeConfig:
             raise DomainError("positive entries must descend (b_j weakly decreasing)")
 
 
-def check_enumeration_size(n: int) -> None:
-    """DomainError for n < 0, ResourceCapError for n > ``ENUMERATION_CAP``."""
+def check_enumeration_size(n: int) -> int:
+    """n as an int: ParameterError unless it is an integer, DomainError
+    for n < 0, ResourceCapError for n > ``ENUMERATION_CAP``."""
+    n = _as_index(n, "n")
     if n < 0:
         raise DomainError(f"n must be nonnegative, got {n}")
     if n > ENUMERATION_CAP:
         raise ResourceCapError(f"partition enumeration capped at n <= {ENUMERATION_CAP}, got {n}")
+    return n
 
 
 def iter_partition_tuples(n: int, max_rows: int | None = None) -> Iterator[tuple[int, ...]]:
     """Reverse-lexicographic partition generator yielding raw tuples, with
     at most ``max_rows`` parts when that is given.  Sizes and row counts
     are refused when it is called, before anything is yielded."""
-    check_enumeration_size(n)
+    n = check_enumeration_size(n)
     if max_rows is not None and max_rows < 0:
         raise DomainError(f"max_rows must be nonnegative, got {max_rows}")
     rows = n if max_rows is None else max_rows

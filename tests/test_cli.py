@@ -1,10 +1,12 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -592,6 +594,40 @@ def test_pairings_writes_each_row_before_forming_the_next(monkeypatch):
     assert run(["pairings", "--n", "3"]) == 0
     # the first row is formed before the header, which names its keys
     assert written == [0] + [i + 1 for i in range(1, 15)]
+
+
+class _HashSink(io.TextIOBase):
+    """A text stream that keeps only the md5 and the byte count of what it
+    is written."""
+
+    def __init__(self):
+        self.md5, self.size = hashlib.md5(), 0
+
+    def write(self, s):
+        data = s.encode()
+        self.md5.update(data)
+        self.size += len(data)
+        return len(s)
+
+
+def test_pairings_holds_one_matching_at_a_time(monkeypatch):
+    # the 135,135 matchings of level 7 are streamed, not kept: kept as a
+    # list they took about 65 MB
+    monkeypatch.setattr(sys, "stdout", _HashSink())
+    tracemalloc.start()
+    try:
+        assert run(["pairings", "--n", "7"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_pairings_streamed_output_is_pinned(monkeypatch):
+    sink = _HashSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert run(["pairings", "--n", "7", "--t", "1.0"]) == 0
+    assert (sink.md5.hexdigest(), sink.size) == ("ddd5cb4a5782273a5c6890ba66359829", 7_702_719)
 
 
 def test_mixed_weighs_each_size_after_the_rows_before_it(monkeypatch):

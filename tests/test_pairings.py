@@ -6,6 +6,7 @@ import pytest
 from zmeasures.errors import DomainError, ParameterError, ResourceCapError
 from zmeasures.pairings import (
     Matching,
+    _matchings,
     act,
     cocycle,
     cycle_count,
@@ -45,6 +46,15 @@ def test_enumeration_counts():
         assert len(enumerate_matchings(n)) == double_factorial(n)
     with pytest.raises(ResourceCapError):
         enumerate_matchings(9)
+
+
+def test_walk_yields_each_matching_once_in_increasing_order():
+    for n in range(1, 8):
+        count, prev = 0, ()
+        for x in _matchings(n):
+            assert prev < x.pairs
+            count, prev = count + 1, x.pairs
+        assert count == double_factorial(n)
 
 
 def test_matching_validation():

@@ -6,7 +6,15 @@ from hypothesis import given, strategies as st
 
 from zmeasures.errors import DomainError, ParameterError, ResourceCapError
 from zmeasures.kernels import KernelParams, w_a
-from zmeasures.measures import ZParams, _hook_log_sum, _MeasureEngine, lattice_correlation, schur_correlation
+from zmeasures.measures import (
+    ZParams,
+    _hook_log_sum,
+    _MeasureEngine,
+    lattice_correlation,
+    schur_correlation,
+    z_measure_table,
+)
+from zmeasures.pairings import _matchings, enumerate_matchings
 from zmeasures.partitions import (
     HALF,
     LatticeConfig,
@@ -258,3 +266,19 @@ def test_malformed_points_and_theta_are_refused(name):
     call, error = _MALFORMED[name]
     with pytest.raises(error):
         call()
+
+
+_SIZED = {
+    "iter_partition_tuples": iter_partition_tuples,
+    "z_measure_table": lambda n: z_measure_table(n, ZParams(0.5, 0.5)),
+    "enumerate_matchings": enumerate_matchings,
+    "_matchings": _matchings,
+}
+
+
+@pytest.mark.parametrize("n", [2.5, 3.0, "3", None])
+@pytest.mark.parametrize("name", sorted(_SIZED))
+def test_sizes_must_be_integers(name, n):
+    # refused by the call itself, before a generator yields anything
+    with pytest.raises(ParameterError, match="n must be an integer"):
+        _SIZED[name](n)
