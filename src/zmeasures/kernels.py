@@ -27,10 +27,11 @@ with one adaptive quadrature, at the fixed tolerance ``_QUAD_TOL`` = 1e-10,
 and one tail bound, and takes K and dK/dy away from the diagonal from one
 quotient (``_quotient``).  Integrals over the same nodes are the
 components of one integrand: (K, dK/dy)/sqrt(s) at one (x, y), and, for
-the points of an assembly (``prepare``), (w_-, w_+)/sqrt(s) at one lower
-limit.  Each component keeps its own panel tree, so its value and error
-are the floats it gets when integrated alone.  Two sources of W feed the
-pipeline:
+the points of an assembly (``KernelContext.prepare``), (w_-, w_+)/sqrt(s)
+at one lower limit.  Each component keeps its own panel tree, so its
+value and error are the floats it gets when integrated alone.  Two
+sources of W feed the pipeline, each with its quadrature settings
+(``_VECTORIZED``, ``_REL_FLOOR``) as class constants:
 
 * ``_MpmathKernel`` evaluates every w_a(s) through ``specfun.whittaker_W``
   (mpmath below x = 40), one node at a time, and takes K and dK/dy from
@@ -80,7 +81,6 @@ KERNEL_X_MIN = 1e-3
 KERNEL_X_MAX = 190.0
 _DIAG_EPS_SCALE = 1e-6
 _QUAD_TOL = 1e-10
-_QUAD_ABS_FLOOR = 1e-20
 # relative accuracy of the table integrands: K and dK/dy near the window edge
 # lose up to two digits to cancellation in w_-(s) w_+(y) - w_+(s) w_-(y)
 _TABLE_REL_FLOOR = 1e-12
@@ -180,17 +180,17 @@ class _BlockPipeline:
     A source supplies w_a(s) for a = (-1/2, +1/2)[p] (``_wa``) and the pair
     (K(s, y), dK/dy(s, y)) (``_kernels``) on quadrature nodes, the inner
     panel edges of the kernel integrals at y (``_breaks``) and
-    (K, dK/dy, w_-(x), w_+(y)) at one point (``_point``); ``_VECTORIZED``
-    says whether its integrands map an array of nodes to an array of values.
-    Integrals that need the same nodes are the components of one integrand
-    (``quadrature``), so they share their evaluations while each keeps its
-    own panel tree and value: I0 and I1 at one (x, y) always, and A(lo) and
-    B(lo) at one lower limit when ``prepare`` is told that both are needed.
-    The pipeline keeps the edge and kernel integrals of its z and turns
-    them into blocks by the S formulas.
+    (K, dK/dy, w_-(x), w_+(y)) at one point (``_point``), and states its
+    quadrature settings as class constants: ``_VECTORIZED`` says whether
+    its integrands map an array of nodes to an array of values, and
+    ``_REL_FLOOR`` is their relative accuracy.  Integrals that need the
+    same nodes are the components of one integrand (``quadrature``), so
+    they share their evaluations while each keeps its own panel tree and
+    value: I0 and I1 at one (x, y) always, and A(lo) and B(lo) at one lower
+    limit when ``KernelContext.prepare`` is told that both are needed.  The
+    pipeline keeps the edge and kernel integrals of its z and turns them
+    into blocks by the S formulas.
     """
-
-    _VECTORIZED = False
 
     def __init__(self, params: KernelParams):
         self.params = params
@@ -201,11 +201,8 @@ class _BlockPipeline:
     def _integrate(self, f, k: int, lo: float, T: float, inner_breaks=()) -> list[tuple[float, float]]:
         """int_lo^T f(s) ds of each of the k components of f, with a sqrt
         substitution near a small lower endpoint and the asymptotic-switch
-        point as a forced panel edge.  A vectorized integrand maps an array
-        of nodes to a (k, nodes) array and is accurate to _TABLE_REL_FLOOR,
-        not to rounding.  Callers pass T = _tail_T(v >= lo) > max(lo, 1)."""
-        vec = self._VECTORIZED
-        quad = {"vectorized": True, "rel_floor": _TABLE_REL_FLOOR} if vec else {}
+        point as a forced panel edge.  Callers pass
+        T = _tail_T(v >= lo) > max(lo, 1)."""
         breaks = set(b for b in inner_breaks if lo < b < T)
         breaks.add(ASYMPTOTIC_X)
         parts = []
@@ -219,9 +216,9 @@ class _BlockPipeline:
                 u_hi,
                 _QUAD_TOL,
                 u_breaks,
-                abs_floor=_QUAD_ABS_FLOOR,
+                vectorized=self._VECTORIZED,
+                rel_floor=self._REL_FLOOR,
                 components=k,
-                **quad,
             ))
             start = 1.0
         parts.append(adaptive_gauss_legendre(
@@ -230,11 +227,11 @@ class _BlockPipeline:
             T,
             _QUAD_TOL,
             sorted(b for b in breaks if start < b < T),
-            abs_floor=_QUAD_ABS_FLOOR,
+            vectorized=self._VECTORIZED,
+            rel_floor=self._REL_FLOOR,
             components=k,
-            **quad,
         ))
-        f_T = [float(v) for v in f(np.array([T]))[:, 0]] if vec else f(T)
+        f_T = [float(v) for v in f(np.array([T]))[:, 0]] if self._VECTORIZED else f(T)
         out = []
         for c in range(k):
             total = 0.0
@@ -263,17 +260,6 @@ class _BlockPipeline:
         if (p, lo) not in self._edges:
             self._integrate_edges((p,), lo)
         return self._edges[(p, lo)]
-
-    def prepare(self, points) -> None:
-        """Integrate A and B at every point as one pair, for an assembly,
-        whose blocks need both at each of its points; a lone
-        ``block(x, y)`` integrates only A(x) and B(y).  Points outside the
-        validated range are left to ``block`` to refuse."""
-        if self.zero:
-            return
-        for lo in _in_range(points):
-            if (0, lo) not in self._edges or (1, lo) not in self._edges:
-                self._integrate_edges((0, 1), lo)
 
     def _kernel_integrals(self, x: float, y: float) -> tuple[float, float, float]:
         """(I0, I1, err): int_x^inf K(s,y)/sqrt(s) ds and the same with dK/dy,
@@ -341,6 +327,9 @@ class _MpmathKernel(_BlockPipeline):
     (mpmath below x = 40), one node at a time.  K and dK/dy come from
     third-order Taylor expansions for |s - y| < 1e-6 max(1, y), quotients
     elsewhere."""
+
+    _VECTORIZED = False
+    _REL_FLOOR = 1e-15
 
     def __init__(self, params: KernelParams):
         super().__init__(params)
@@ -537,6 +526,7 @@ class KernelContext(_BlockPipeline):
     """
 
     _VECTORIZED = True
+    _REL_FLOOR = _TABLE_REL_FLOOR
 
     def __init__(self, params: KernelParams):
         super().__init__(params)
@@ -620,14 +610,19 @@ class KernelContext(_BlockPipeline):
     def prepare(self, points) -> None:
         """Build the diagonal series of every point not built yet, with one
         ``whittaker`` and one ``_taylor_basis`` call for all of them, then
-        integrate A and B at every point as one pair.  Each column of those
-        calls is independent, so every series is the one a lone y gets."""
+        integrate A and B at every point as one pair, as the blocks of an
+        assembly need; a lone ``block(x, y)`` integrates only A(x) and B(y).
+        Each column of those calls is independent, so every series is the
+        one a lone y gets.  Points outside the range are left to ``block``."""
         if self.zero:
             return
-        ys = [y for y in _in_range(points) if y not in self._series_cache]
+        los = _in_range(points)
+        ys = [y for y in los if y not in self._series_cache]
         if ys:
             self._series_batch(ys)
-        super().prepare(points)
+        for lo in los:
+            if (0, lo) not in self._edges or (1, lo) not in self._edges:
+                self._integrate_edges((0, 1), lo)
 
     def _series_batch(self, ys: list[float]) -> None:
         w, dw = self.whittaker(ys)

@@ -134,9 +134,9 @@ def iter_partition_tuples(n: int, max_rows: int | None = None) -> Iterator[tuple
     at most ``max_rows`` parts when that is given.  Sizes and row counts
     are refused when it is called, before anything is yielded."""
     n = check_enumeration_size(n)
-    if max_rows is not None and max_rows < 0:
+    rows = n if max_rows is None else _as_index(max_rows, "max_rows")
+    if rows < 0:
         raise DomainError(f"max_rows must be nonnegative, got {max_rows}")
-    rows = n if max_rows is None else max_rows
 
     def rec(remaining: int, largest: int, rows_left: int, prefix: tuple[int, ...]):
         if remaining == 0:

@@ -2,11 +2,13 @@
 
 Panels are estimated with embedded 10- and 20-point rules and bisected
 until the local discrepancy meets a tolerance budget proportional to
-panel width.  Callers supply breakpoints for known awkward interior
-points (near-diagonal kernel arguments, substitution seams).  An
-integrand that maps an array of nodes to an array of values can be
-marked ``vectorized``: it is then called once per panel on all 30 nodes
-instead of once per node.
+panel width, or falls below a relative floor or the absolute floor
+1e-20.  Callers supply breakpoints for known awkward interior points
+(near-diagonal kernel arguments, substitution seams).  One evaluator
+(``_rules``) forms a panel's 30 nodes, the 10-point ones first, and
+sums both rules from them.  An integrand that maps an array of nodes to
+an array of values can be marked ``vectorized``: it is then called once
+per panel on all 30 nodes instead of once per node.
 
 An integrand has k = ``components`` components, one by default: it
 returns k values per node, or a (k, nodes) array when vectorized, and is
@@ -18,47 +20,40 @@ component alone returns; the components only share the evaluations.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .errors import NumericalError
 
 _MAX_DEPTH = 40
+# a panel whose discrepancy is below this is accepted at any tolerance
+_ABS_FLOOR = 1e-20
+# the 10-point nodes, then the 20-point ones, on [-1, 1]; a panel's rules
+# read the weights of each against its slice of the 30 values
+_X10, _W10 = np.polynomial.legendre.leggauss(10)
+_X20, _W20 = np.polynomial.legendre.leggauss(20)
+_NODES = np.concatenate((_X10, _X20))
+_RULES = ((_W10, slice(0, 10)), (_W20, slice(10, 30)))
 
 
-@functools.cache
-def _rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
-
-
-def _fixed(f, lo: float, hi: float, n: int) -> list:
-    """The n-point rule of every component, one call of f per node."""
-    xs, ws = _rule(n)
-    mid = 0.5 * (lo + hi)
+def _rules(f, lo: float, hi: float, vectorized: bool) -> list[list]:
+    """The 10- and 20-point rules of every component on [lo, hi].  A
+    vectorized f is called once on all 30 nodes and each rule is a dot
+    product; any other f is called once per node, 10-point nodes first, and
+    each component is summed in node order from 0.0."""
     half = 0.5 * (hi - lo)
-    vals = [f(mid + half * x) for x in xs]
+    nodes = 0.5 * (lo + hi) + half * _NODES
+    if vectorized:
+        v = f(nodes)
+        return [[half * float(w @ row[part]) for row in v] for w, part in _RULES]
+    vals = [f(x) for x in nodes]
     out = []
-    for c in range(len(vals[0])):
-        total = 0.0
-        for w, v in zip(ws, vals):
-            total += w * v[c]
-        out.append(half * total)
+    for w, part in _RULES:
+        sums = [0.0] * len(vals[0])
+        for wi, v in zip(w, vals[part]):
+            for c, vc in enumerate(v):
+                sums[c] += wi * vc
+        out.append([half * total for total in sums])
     return out
-
-
-def _fixed_pair(f, lo: float, hi: float) -> tuple[list, list]:
-    """The 10- and 20-point rules of every component from one call of f on
-    all their nodes."""
-    x10, w10 = _rule(10)
-    x20, w20 = _rule(20)
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    v = f(mid + half * np.concatenate((x10, x20)))
-    return (
-        [half * float(w10 @ row[:10]) for row in v],
-        [half * float(w20 @ row[10:]) for row in v],
-    )
 
 
 def adaptive_gauss_legendre(
@@ -67,7 +62,6 @@ def adaptive_gauss_legendre(
     b: float,
     tol: float = 1e-10,
     breakpoints=(),
-    abs_floor: float = 0.0,
     vectorized: bool = False,
     rel_floor: float = 1e-15,
     components: int = 1,
@@ -75,40 +69,33 @@ def adaptive_gauss_legendre(
     """Integrate each component of f over [a, b]; returns one
     (value, error_estimate) per component.
 
-    ``abs_floor`` accepts panels whose absolute discrepancy is already
-    negligible even when the width-scaled tolerance is tighter, and
-    ``rel_floor`` those whose discrepancy is below that fraction of the
-    panel's value: the relative accuracy of f itself, below which bisection
-    only chases rounding noise.  Accepted discrepancies are still summed
-    into the error estimate.  Raises NumericalError when bisection fails to
-    converge for any component.
+    A panel is accepted when its discrepancy meets the width-scaled
+    tolerance, or is below ``rel_floor`` times the panel's value (the
+    relative accuracy of f itself, below which bisection only chases
+    rounding noise), or below ``_ABS_FLOOR`` = 1e-20.  Accepted
+    discrepancies are still summed into the error estimate.  Raises
+    NumericalError when bisection fails to converge for any component.
     """
     totals = [(0.0, 0.0)] * components
     if b > a:
         pts = sorted({float(a), float(b), *(float(p) for p in breakpoints if a < p < b)})
         for lo, hi in zip(pts, pts[1:]):
             out = _panel(
-                f, lo, hi, tol * (hi - lo) / (b - a), 0, (abs_floor, rel_floor),
-                vectorized, range(components),
+                f, lo, hi, tol * (hi - lo) / (b - a), 0, rel_floor, vectorized, range(components),
             )
             totals = [(v + out[c][0], e + out[c][1]) for c, (v, e) in enumerate(totals)]
     return totals
 
 
-def _panel(f, lo, hi, tol, depth, floors, vectorized, active) -> dict:
+def _panel(f, lo, hi, tol, depth, rel_floor, vectorized, active) -> dict:
     """{component: (value, error)} on [lo, hi] for the components in
     ``active``; the rest bisect further."""
-    if vectorized:
-        coarse, fine = _fixed_pair(f, lo, hi)
-    else:
-        coarse = _fixed(f, lo, hi, 10)
-        fine = _fixed(f, lo, hi, 20)
-    abs_floor, rel_floor = floors
+    coarse, fine = _rules(f, lo, hi, vectorized)
     out = {}
     refine = []
     for c in active:
         e = abs(fine[c] - coarse[c])
-        if e <= max(tol, rel_floor * abs(fine[c]), abs_floor):
+        if e <= max(tol, rel_floor * abs(fine[c]), _ABS_FLOOR):
             out[c] = (fine[c], e)
         else:
             refine.append((c, e))
@@ -121,8 +108,8 @@ def _panel(f, lo, hi, tol, depth, floors, vectorized, active) -> dict:
         )
     active = [c for c, _ in refine]
     mid = 0.5 * (lo + hi)
-    left = _panel(f, lo, mid, 0.5 * tol, depth + 1, floors, vectorized, active)
-    right = _panel(f, mid, hi, 0.5 * tol, depth + 1, floors, vectorized, active)
+    left = _panel(f, lo, mid, 0.5 * tol, depth + 1, rel_floor, vectorized, active)
+    right = _panel(f, mid, hi, 0.5 * tol, depth + 1, rel_floor, vectorized, active)
     for c in active:
         out[c] = (left[c][0] + right[c][0], left[c][1] + right[c][1])
     return out

@@ -14,7 +14,7 @@ Poincare asymptotic series above it.  Where that series stalls before
 reaching its accuracy target the call is refused with NumericalError,
 and so is a call where mpmath's hypergeometric sums fail to converge (at
 an exact zero such as W_{2,1/2}(2), for instance).  whitw runs in a
-private mpmath context that memoizes Gamma, 1/Gamma and sin(pi .): hyperu
+private mpmath context that memoizes 1/Gamma and sin(pi .): hyperu
 takes them at parameters fixed by (k, m), the same at every quadrature
 node, and they cost a third of a call.  The values are bit for bit those
 of plain ``mpmath.whitw``, and the global ``mpmath.mp`` is left alone.
@@ -297,32 +297,28 @@ def _asymptotic(k: complex, m: complex, x: float) -> complex:
 
 @lru_cache(maxsize=None)
 def _mp_context():
-    """A private mpmath context whose Gamma, 1/Gamma and sin(pi .) remember
-    their results, and those six memoized libmp functions, built at the
-    first call: importing mpmath adds about 4 MB and 50 ms to a process, and
-    only W below ASYMPTOTIC_X needs it.
+    """A private mpmath context whose 1/Gamma and sin(pi .) remember their
+    results, and those four memoized libmp functions, built at the first
+    call: importing mpmath adds about 4 MB and 50 ms to a process, and only
+    W below ASYMPTOTIC_X needs it.
 
     whitw calls hyperu, and hyperu's hypercomb takes 1/Gamma and sin(pi .)
     at a, b, a - b + 1 and 2 - b, which depend on (k, m) alone, so every
-    quadrature node after the first at the same indices finds them cached;
-    Gamma, for hypercomb's numerator factors, goes with them.  The libmp
-    functions are pure in (value, prec, rounding), so W comes out bit for
-    bit as from mpmath.whitw, and the global mpmath.mp is left alone."""
+    quadrature node after the first at the same indices finds them cached.
+    They come at real arguments where m is real, as at a real z, and at
+    complex ones otherwise.  hyperu forms no Gamma factor, so Gamma is
+    mpmath's own.  The libmp functions are pure in (value, prec,
+    rounding), so W comes out bit for bit as from mpmath.whitw, and the
+    global mpmath.mp is left alone."""
     import mpmath
     from mpmath import libmp
 
     ctx = mpmath.MPContext()
     memos = tuple(
         lru_cache(maxsize=1024)(f)
-        for f in (
-            libmp.mpf_gamma, libmp.mpc_gamma,
-            libmp.mpf_rgamma, libmp.mpc_rgamma,
-            libmp.mpf_sin_pi, libmp.mpc_sin_pi,
-        )
+        for f in (libmp.mpf_rgamma, libmp.mpc_rgamma, libmp.mpf_sin_pi, libmp.mpc_sin_pi)
     )
-    ctx.gamma, ctx.rgamma, ctx.sinpi = (
-        ctx._wrap_libmp_function(memos[i], memos[i + 1]) for i in (0, 2, 4)
-    )
+    ctx.rgamma, ctx.sinpi = (ctx._wrap_libmp_function(*memos[i:i + 2]) for i in (0, 2))
     return ctx, memos
 
 

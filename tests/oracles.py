@@ -118,7 +118,7 @@ def _quad_complex(f, lo, hi, tol, breaks=()) -> complex:
         return v.real, v.imag
 
     (re, _), (im, _) = adaptive_gauss_legendre(
-        parts, lo, hi, tol, breaks, abs_floor=1e-20, components=2
+        parts, lo, hi, tol, breaks, components=2
     )
     return complex(re, im)
 

@@ -611,12 +611,13 @@ class _HashSink(io.TextIOBase):
 
 
 def test_pairings_holds_one_matching_at_a_time(monkeypatch):
-    # the 135,135 matchings of level 7 are streamed, not kept: kept as a
-    # list they took about 65 MB
+    # the 10,395 matchings of level 6 are streamed, not kept: streamed they
+    # peak at about 0.25 MB under tracemalloc, kept as the list that
+    # enumerate_matchings returns at about 3.3 MB
     monkeypatch.setattr(sys, "stdout", _HashSink())
     tracemalloc.start()
     try:
-        assert run(["pairings", "--n", "7"]) == 0
+        assert run(["pairings", "--n", "6"]) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

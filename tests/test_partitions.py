@@ -282,3 +282,14 @@ def test_sizes_must_be_integers(name, n):
     # refused by the call itself, before a generator yields anything
     with pytest.raises(ParameterError, match="n must be an integer"):
         _SIZED[name](n)
+
+
+@pytest.mark.parametrize(
+    "max_rows, error, message",
+    [(v, ParameterError, "max_rows must be an integer") for v in (2.5, 2.0, "2")]
+    + [(-1, DomainError, "max_rows must be nonnegative, got -1")],
+)
+def test_row_counts_must_be_integers(max_rows, error, message):
+    # refused by the call itself, like the sizes above
+    with pytest.raises(error, match=message):
+        iter_partition_tuples(5, max_rows)

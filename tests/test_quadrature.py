@@ -41,9 +41,17 @@ def test_error_estimate_is_bound():
 
 
 def test_abs_floor_accepts_tiny_panels():
-    f = lambda x: 1e-30 * math.sin(x)  # noqa: E731
-    v, _ = _single(f, 0.0, 1.0, 1e-40, abs_floor=1e-25)
+    # the first panel's discrepancy is far above the tolerance and the
+    # relative floor here, but below the fixed absolute floor 1e-20
+    nodes = []
+
+    def f(x):
+        nodes.append(x)
+        return 1e-30 * math.sin(40 * x)
+
+    v, _ = _single(f, 0.0, 1.0, 1e-40, rel_floor=0.0)
     assert abs(v) < 1e-29
+    assert len(nodes) == 30
 
 
 def test_vectorized_integrand_matches_scalar():
@@ -60,7 +68,7 @@ def test_vectorized_integrand_matches_scalar():
     assert set(calls) == {30}
 
 
-def _one_component(f, a, b, tol, breakpoints=(), abs_floor=0.0, vectorized=False, rel_floor=1e-15):
+def _one_component(f, a, b, tol, breakpoints=(), vectorized=False, rel_floor=1e-15):
     """The one-component algorithm as it stood before integrands could
     have several components: the oracle for both call forms below."""
     def rule(n, lo, hi):
@@ -84,7 +92,7 @@ def _one_component(f, a, b, tol, breakpoints=(), abs_floor=0.0, vectorized=False
         else:
             coarse, fine = rule(10, lo, hi), rule(20, lo, hi)
         e = abs(fine - coarse)
-        if e <= max(tol, rel_floor * abs(fine), abs_floor):
+        if e <= max(tol, rel_floor * abs(fine), 1e-20):
             return fine, e
         assert depth < 40
         mid = 0.5 * (lo + hi)
@@ -128,9 +136,8 @@ def _hex(pair):
     st.booleans(),
     st.floats(-12.0, -6.0).map(lambda e: 10.0**e),
     st.lists(st.floats(0.01, 2.99), max_size=3),
-    st.sampled_from([0.0, 1e-20]),
 )
-def test_components_match_one_component_calls(kinds, vectorized, tol, breaks, abs_floor):
+def test_components_match_one_component_calls(kinds, vectorized, tol, breaks):
     fs = [_kind(k, p, q, vectorized) for k, p, q in kinds]
     if vectorized:
         def multi(s):
@@ -138,7 +145,7 @@ def test_components_match_one_component_calls(kinds, vectorized, tol, breaks, ab
     else:
         def multi(s):
             return tuple(f(s) for f in fs)
-    kw = {"breakpoints": breaks, "abs_floor": abs_floor, "vectorized": vectorized}
+    kw = {"breakpoints": breaks, "vectorized": vectorized}
     got = adaptive_gauss_legendre(multi, 0.0, 3.0, tol, components=len(fs), **kw)
     assert len(got) == len(fs)
     for f, pair in zip(fs, got):
@@ -177,12 +184,14 @@ def test_components_keep_their_own_panel_trees(vectorized):
 @pytest.mark.parametrize("vectorized", [False, True])
 @pytest.mark.parametrize("which", [0, 1])
 def test_any_component_at_max_depth_raises(vectorized, which):
-    # a jump at an irrational point never meets a zero tolerance
+    # a jump at an irrational point never meets a zero tolerance: at a
+    # height of 1e20 the discrepancy of some panel at or beside it stays
+    # above the absolute floor 1e-20 down to the maximum depth
     if vectorized:
-        step = lambda s: (s > 1.0 / np.pi).astype(float)  # noqa: E731
+        step = lambda s: 1e20 * (s > 1.0 / np.pi).astype(float)  # noqa: E731
         smooth = np.exp
     else:
-        step = lambda s: float(s > 1.0 / math.pi)  # noqa: E731
+        step = lambda s: 1e20 * float(s > 1.0 / math.pi)  # noqa: E731
         smooth = math.exp
     fs = [smooth, smooth]
     fs[which] = step

@@ -198,6 +198,8 @@ def test_memo_caches_bounded_and_global_mpmath_untouched():
     for memo in memos:
         info = memo.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize
+        # a memo that no call reaches is dead code
+        assert info.hits > 0, memo
     assert mpmath.mp.prec == 53
     for name in ("gamma", "rgamma", "sinpi"):
         assert getattr(mpmath.mp, name) is not getattr(context, name)
